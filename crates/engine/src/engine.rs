@@ -10,12 +10,12 @@
 //!
 //! Results land in a slot vector indexed by submission order, so output
 //! is a pure function of the specs — never of worker count or of which
-//! worker finished first. Cache and journal writes happen only on a
-//! dedicated drainer thread fed by a *bounded* channel; workers just
-//! simulate and send. The bound keeps completed-but-unwritten results
-//! from piling up faster than the disk absorbs them, and the dedicated
-//! drainer means collection overlaps submission instead of serializing
-//! behind it (the ROADMAP drain-stage fix).
+//! worker finished first. The pool (shared with [`Engine::run_stream`])
+//! sends each completion over a *bounded* channel to the calling
+//! thread, which is the only thread that writes the cache, the journal
+//! and the slots; workers just simulate and send. The bound keeps
+//! completed-but-unwritten results from piling up faster than the disk
+//! absorbs them.
 //!
 //! # Failure containment
 //!
@@ -38,15 +38,15 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
-use crossbeam::deque::{Injector, Steal};
-use obs::{PolicyMetrics, RunMetrics, WorkerMetrics};
+use obs::registry::counter;
+use obs::{RunMetrics, WorkerMetrics};
 
 use crate::cache::{CacheProbe, ResultCache};
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
 use crate::job::{JobResult, JobSpec};
 use crate::journal::Journal;
 use crate::key::ContentKey;
+use crate::pool::Tally;
 
 /// How a batch should be executed.
 #[derive(Debug, Clone)]
@@ -105,13 +105,7 @@ impl EngineConfig {
         EngineConfig {
             jobs: 1,
             use_cache: false,
-            resume: false,
-            state_root: None,
-            progress: false,
-            max_retries: 2,
-            faults: None,
-            write_metrics: false,
-            timeline_windows: 0,
+            ..Self::default()
         }
     }
 
@@ -280,13 +274,8 @@ impl Engine {
         }
     }
 
-    /// Directory a batch's metrics artifacts land in.
-    pub(crate) fn metrics_dir(&self, batch: &str) -> PathBuf {
-        self.state_root().join(batch)
-    }
-
-    /// Root directory for cache and journal state.
-    fn state_root(&self) -> PathBuf {
+    /// Root directory for cache, journal and metrics state.
+    pub(crate) fn state_root(&self) -> PathBuf {
         self.config.state_root.clone().unwrap_or_else(|| {
             std::env::var_os("REPRO_RESULTS_DIR")
                 .map(PathBuf::from)
@@ -306,29 +295,9 @@ impl Engine {
     pub fn run_batch(&self, batch: &str, specs: &[JobSpec]) -> BatchOutcome {
         let started = Instant::now();
         // Live-telemetry handles (no-ops unless `--metrics-addr` armed
-        // the registry). Shared with `run_stream` where the meaning
-        // lines up: a batch cell is a job.
-        let m_cells = obs::registry::counter(
-            "engine_cells_total",
-            "Batch cells requested, cached or simulated.",
-        );
-        let m_cache_hits = obs::registry::counter(
-            "engine_cache_hits_total",
-            "Batch cells served from the result cache.",
-        );
-        let m_jobs = obs::registry::counter(
-            "engine_jobs_executed_total",
-            "Jobs completed across all workers.",
-        );
-        let m_failed = obs::registry::counter(
-            "engine_jobs_failed_total",
-            "Jobs that exhausted their retry budget.",
-        );
-        let m_retries = obs::registry::counter(
-            "engine_job_retries_total",
-            "Job attempts retried after a panic.",
-        );
-        m_cells.add(specs.len() as u64);
+        // the registry); the pool counts the jobs themselves.
+        counter("engine_cells_total", "Batch cells requested.").add(specs.len() as u64);
+        let m_cache_hits = counter("engine_cache_hits_total", "Cells served from the cache.");
         let root = self.state_root();
         let faults = FaultInjector::new(self.config.faults);
         let cache = self
@@ -345,9 +314,10 @@ impl Engine {
         };
         let mut slots: Vec<Option<Result<JobResult, JobFailure>>> = Vec::with_capacity(specs.len());
         let (mut journal_hits, mut cache_hits, mut quarantined) = (0usize, 0usize, 0usize);
-        // Metrics owned by the collector (calling) thread: cache-hit
-        // service times live here because only this thread probes.
-        let mut collector_wm = WorkerMetrics::new();
+        // The calling thread's tally: reused results count toward the
+        // data-level aggregates, and cache-hit service times live here
+        // because only this thread probes.
+        let mut tally = Tally::default();
         for spec in specs {
             let key = {
                 let _s = obs::span::enter("content_key");
@@ -369,7 +339,7 @@ impl Engine {
                         CacheProbe::Hit(r) => {
                             cache_hits += 1;
                             m_cache_hits.inc();
-                            collector_wm.observe_log(
+                            tally.wm.observe_log(
                                 "cache_hit_service_us",
                                 probe_started.elapsed().as_secs_f64() * 1e6,
                             );
@@ -389,6 +359,9 @@ impl Engine {
                 }
                 None => None,
             });
+            if let Some(r) = &hit {
+                tally.record(spec, r);
+            }
             slots.push(hit.map(Ok));
         }
 
@@ -407,242 +380,76 @@ impl Engine {
             }
         };
 
-        // Layer 3: simulate the rest on the worker pool.
+        // Layer 3: simulate the rest on the pool, writing each
+        // completion to cache, journal and its slot as it arrives.
         let workers = self.worker_count().min(pending.len());
-        let max_retries = self.config.max_retries;
-        let mut worker_totals = WorkerMetrics::new();
-        let mut worker_spans: Vec<(String, obs::ThreadSpans)> = Vec::new();
-        if !pending.is_empty() {
-            let queue = Injector::new();
-            let to_run = pending.len();
-            for job in pending {
-                queue.push(job);
-            }
-            // Bounded results channel: workers block (briefly) instead
-            // of piling completed results into unbounded memory when
-            // the drainer's disk writes fall behind.
-            let (tx, rx) = channel::bounded::<(usize, u32, Result<JobResult, String>)>(workers * 4);
-            let progress = self.config.progress;
-            let scope_outcome = crossbeam::thread::scope(|s| {
-                // Dedicated drainer: the only thread touching disk or
-                // slots, running concurrently with every worker so
-                // collection overlaps simulation.
-                let drainer = {
-                    let cache = &cache;
-                    let specs = &specs;
-                    let faults = &faults;
-                    let mut slots = slots;
-                    let mut journal = journal;
-                    let reused = journal_hits + cache_hits;
-                    s.spawn(move |_| {
-                        let drain_span = obs::span::enter("drain");
-                        let mut done = 0usize;
-                        let mut last_report = Instant::now();
-                        for (i, attempts, outcome) in rx.iter() {
-                            let spec = &specs[i];
-                            match outcome {
-                                Ok(result) => {
-                                    if let Some(cache) = cache {
-                                        let _s = obs::span::enter("cache_write");
-                                        if let Err(e) = cache.store_with(spec, &result, faults) {
-                                            obs::warn!(
-                                                "engine: cache write failed for {}: {e}",
-                                                spec.key()
-                                            );
-                                        }
-                                    }
-                                    if let Some(j) = &mut journal {
-                                        let _s = obs::span::enter("journal_append");
-                                        if let Err(e) = j.record_with(spec.key(), &result, faults) {
-                                            obs::warn!("engine: journal write failed: {e}");
-                                        }
-                                    }
-                                    slots[i] = Some(Ok(result));
-                                    m_jobs.inc();
-                                }
-                                Err(message) => {
-                                    m_failed.inc();
-                                    let failure = JobFailure {
-                                        index: i,
-                                        key: spec.key(),
-                                        label: spec.label(),
-                                        attempts,
-                                        message,
-                                    };
-                                    obs::error!("engine: {failure}");
-                                    slots[i] = Some(Err(failure));
-                                }
-                            }
-                            done += 1;
-                            if progress
-                                && (done == to_run
-                                    || last_report.elapsed() >= Duration::from_millis(500))
-                            {
-                                last_report = Instant::now();
-                                let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
-                                let eta = (to_run - done) as f64 / rate.max(1e-9);
-                                obs::info!(
-                                    "[{batch}] {done}/{to_run} simulated \
-                                     ({reused} reused) — {rate:.1} cells/s, ETA {eta:.0}s",
-                                );
+        let (to_run, reused) = (pending.len(), journal_hits + cache_hits);
+        let (mut done, mut last_report) = (0usize, Instant::now());
+        let pooled = self.pool(
+            workers,
+            0,
+            &faults,
+            pending.into_iter(),
+            |_: &mut (), i, _, result, _| (i, result),
+            |msg| {
+                match msg {
+                    Ok((i, result)) => {
+                        let spec = &specs[i];
+                        if let Some(cache) = &cache {
+                            let _s = obs::span::enter("cache_write");
+                            if let Err(e) = cache.store_with(spec, &result, &faults) {
+                                obs::warn!("engine: cache write failed for {}: {e}", spec.key());
                             }
                         }
-                        drop(drain_span);
-                        (slots, journal, obs::span::drain())
-                    })
-                };
-
-                let mut handles = Vec::with_capacity(workers);
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let queue = &queue;
-                    let faults = &faults;
-                    // Each worker owns its metrics and span buffer and
-                    // hands them back through the join handle — no
-                    // shared mutation, so the aggregate is independent
-                    // of scheduling.
-                    handles.push(s.spawn(move |_| {
-                        let mut wm = WorkerMetrics::new();
-                        loop {
-                            match queue.steal() {
-                                Steal::Success((i, spec)) => {
-                                    let _job_span = obs::span::enter("job");
-                                    let job_started = Instant::now();
-                                    let key = spec.key();
-                                    let mut attempt = 0u32;
-                                    let outcome = loop {
-                                        attempt += 1;
-                                        obs::debug!(
-                                            "engine: job_start key={key} attempt={attempt}"
-                                        );
-                                        let run = std::panic::catch_unwind(
-                                            std::panic::AssertUnwindSafe(|| {
-                                                if faults.worker_panic(key, attempt) {
-                                                    panic!(
-                                                        "injected fault: worker panic \
-                                                         (job {key}, attempt {attempt})"
-                                                    );
-                                                }
-                                                spec.execute()
-                                            }),
-                                        );
-                                        match run {
-                                            Ok(r) => break Ok(r),
-                                            Err(payload) if attempt > max_retries => {
-                                                break Err(panic_message(payload.as_ref()))
-                                            }
-                                            Err(_) => {
-                                                wm.inc("retries");
-                                                m_retries.inc();
-                                                obs::debug!(
-                                                    "engine: job_retry key={key} \
-                                                     attempt={attempt}"
-                                                );
-                                            }
-                                        }
-                                    };
-                                    match &outcome {
-                                        Ok(r) => {
-                                            wm.inc("jobs_executed");
-                                            wm.add("sim_us", spec.duration.as_micros());
-                                            wm.observe("utilization", r.mean_utilization);
-                                            obs::debug!(
-                                                "engine: job_done key={key} attempts={attempt}"
-                                            );
-                                        }
-                                        Err(_) => {
-                                            obs::debug!(
-                                                "engine: job_fail key={key} attempts={attempt}"
-                                            );
-                                        }
-                                    }
-                                    wm.observe_log(
-                                        "job_latency_us",
-                                        job_started.elapsed().as_secs_f64() * 1e6,
-                                    );
-                                    if tx.send((i, attempt, outcome)).is_err() {
-                                        break;
-                                    }
-                                }
-                                Steal::Empty => break,
-                                Steal::Retry => continue,
+                        if let Some(j) = &mut journal {
+                            let _s = obs::span::enter("journal_append");
+                            if let Err(e) = j.record_with(spec.key(), &result, &faults) {
+                                obs::warn!("engine: journal write failed: {e}");
                             }
                         }
-                        (wm, obs::span::drain())
-                    }));
-                }
-                drop(tx);
-
-                // Per-worker error status: a worker that died outside
-                // the catch-unwind fence (an engine bug, not a job
-                // panic) is reported instead of aborting the process.
-                // Survivors hand back their metrics and span buffers
-                // for merging.
-                let mut dead_workers = 0usize;
-                let mut merged = WorkerMetrics::new();
-                let mut thread_spans: Vec<(String, obs::ThreadSpans)> = Vec::new();
-                for (w, h) in handles.into_iter().enumerate() {
-                    match h.join() {
-                        Ok((wm, spans)) => {
-                            merged.merge_from(&wm);
-                            if !spans.is_empty() {
-                                thread_spans.push((format!("worker-{w}"), spans));
-                            }
-                        }
-                        Err(payload) => {
-                            dead_workers += 1;
-                            obs::error!(
-                                "engine: worker thread died: {}",
-                                panic_message(payload.as_ref())
-                            );
-                        }
+                        slots[i] = Some(Ok(result));
+                    }
+                    Err(failure) => {
+                        let i = failure.index;
+                        slots[i] = Some(Err(failure));
                     }
                 }
-
-                // Every worker (and the original tx) is gone, so the
-                // results channel is disconnected and the drainer's
-                // receive loop has terminated.
-                let (slots, journal, drainer_spans) =
-                    drainer.join().expect("drainer thread must not panic");
-                if !drainer_spans.is_empty() {
-                    thread_spans.insert(0, ("drainer".to_string(), drainer_spans));
+                done += 1;
+                if self.config.progress
+                    && (done == to_run || last_report.elapsed() >= Duration::from_millis(500))
+                {
+                    last_report = Instant::now();
+                    let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
+                    let eta = (to_run - done) as f64 / rate.max(1e-9);
+                    obs::info!(
+                        "[{batch}] {done}/{to_run} simulated \
+                         ({reused} reused) — {rate:.1} cells/s, ETA {eta:.0}s",
+                    );
                 }
-                (slots, journal, dead_workers, merged, thread_spans)
-            });
-            // The vendored scope only errors by propagating a panic
-            // from an unjoined thread; every thread above is joined,
-            // so this arm is unreachable — resume rather than invent
-            // a recovery that can't be exercised.
-            let (s, j, dead_workers, merged, spans) =
-                scope_outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            slots = s;
-            journal = j;
-            worker_totals = merged;
-            worker_spans = spans;
-            // A dead worker's in-flight cell never reported; fail any
-            // still-empty slot rather than pretending it ran.
-            if dead_workers > 0 {
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    if slot.is_none() {
-                        *slot = Some(Err(JobFailure {
-                            index: i,
-                            key: specs[i].key(),
-                            label: specs[i].label(),
-                            attempts: 0,
-                            message: "worker thread died before completing this job".to_string(),
-                        }));
-                    }
-                }
-            }
-        }
+            },
+        );
+        tally.merge(pooled.tally);
 
+        // A dead worker's in-flight cell never reported; fail any
+        // still-empty slot rather than pretending it ran.
         let results: Vec<Result<JobResult, JobFailure>> = slots
             .into_iter()
-            .map(|s| s.expect("every slot filled"))
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.unwrap_or_else(|| {
+                    Err(JobFailure {
+                        index: i,
+                        key: specs[i].key(),
+                        label: specs[i].label(),
+                        attempts: 0,
+                        message: "worker thread died before completing this job".to_string(),
+                    })
+                })
+            })
             .collect();
         let failed = results.iter().filter(|r| r.is_err()).count();
 
-        if let Some(j) = journal.take() {
+        if let Some(j) = journal {
             if failed == 0 {
                 if let Err(e) = j.finish() {
                     obs::warn!("engine: could not clear journal for `{batch}`: {e}");
@@ -650,7 +457,6 @@ impl Engine {
             } else {
                 // Keep the journal: it holds every completed cell, so
                 // a `--resume` re-run retries only the failures.
-                drop(j);
                 obs::warn!(
                     "engine: keeping journal for `{batch}` ({failed} failed job(s)); \
                      re-run with --resume to retry them"
@@ -696,84 +502,7 @@ impl Engine {
             }
         }
 
-        // Assemble the batch profile: collector thread first (probe,
-        // drain, cache/journal writes), then workers in index order.
-        // Draining the collector here also scoops up any spans the
-        // calling driver closed before run_batch — its stages appear
-        // alongside the engine's.
-        let mut profile = obs::Profile::default();
-        let collector_spans = obs::span::drain();
-        if !collector_spans.is_empty() {
-            profile
-                .threads
-                .push(("collector".to_string(), collector_spans));
-        }
-        profile.threads.extend(worker_spans);
-
-        worker_totals.merge_from(&collector_wm);
-        let metrics = self.build_metrics(batch, specs, &results, &stats, &worker_totals, &profile);
-        if self.config.write_metrics {
-            let dir = root.join(batch);
-            let write = std::fs::create_dir_all(&dir)
-                .and_then(|()| std::fs::write(dir.join("metrics.json"), metrics.to_json()));
-            if let Err(e) = write {
-                obs::warn!("engine: could not write metrics.json for `{batch}`: {e}");
-            }
-            // The flame chart is wall-clock and profile-gated, so it
-            // only exists when spans were actually collected — the
-            // deterministic artifacts CI byte-diffs are untouched.
-            if !profile.is_empty() {
-                let json = obs::export_spans_chrome_json(&profile);
-                if let Err(e) = std::fs::write(dir.join("profile.trace.json"), json) {
-                    obs::warn!("engine: could not write profile.trace.json for `{batch}`: {e}");
-                }
-            }
-        }
-
-        BatchOutcome {
-            results,
-            stats,
-            faults: faults.stats(),
-            metrics,
-            worker_metrics: worker_totals,
-            profile,
-        }
-    }
-
-    /// Folds batch stats, worker-pool counters and per-result totals
-    /// into one [`RunMetrics`]. Cached and journaled results count
-    /// toward the per-policy aggregates — the metrics describe the
-    /// batch's *data*, not just what was simulated this run.
-    fn build_metrics(
-        &self,
-        batch: &str,
-        specs: &[JobSpec],
-        results: &[Result<JobResult, JobFailure>],
-        stats: &BatchStats,
-        worker_totals: &WorkerMetrics,
-        profile: &obs::Profile,
-    ) -> RunMetrics {
-        let mut sched_dropped = 0u64;
-        let mut clock_switches = 0u64;
-        let mut voltage_switches = 0u64;
-        let mut per_policy: std::collections::BTreeMap<String, PolicyMetrics> =
-            std::collections::BTreeMap::new();
-        for (spec, result) in specs.iter().zip(results) {
-            let Ok(r) = result else { continue };
-            sched_dropped += r.sched_dropped;
-            clock_switches += r.clock_switches;
-            voltage_switches += r.voltage_switches;
-            let entry = per_policy
-                .entry(spec.policy.label())
-                .or_insert_with(|| PolicyMetrics {
-                    policy: spec.policy.label(),
-                    ..Default::default()
-                });
-            entry.cells += 1;
-            entry.clock_switches += r.clock_switches;
-            entry.voltage_switches += r.voltage_switches;
-        }
-        let mut metrics = RunMetrics {
+        let base = RunMetrics {
             batch: batch.to_string(),
             total: stats.total as u64,
             executed: stats.executed as u64,
@@ -781,28 +510,19 @@ impl Engine {
             journal_hits: stats.journal_hits as u64,
             failed: stats.failed as u64,
             quarantined: stats.quarantined as u64,
-            retries: worker_totals.counter("retries"),
             workers: stats.workers as u64,
-            sched_dropped,
-            clock_switches,
-            voltage_switches,
             wall_us: stats.elapsed_us,
-            sim_us: worker_totals.counter("sim_us"),
-            peak_rss_bytes: obs::peak_rss_bytes().unwrap_or(0),
-            per_policy: per_policy.into_values().collect(),
             ..Default::default()
         };
-        metrics.set_job_latencies(worker_totals.log_histogram("job_latency_us"));
-        if !profile.is_empty() {
-            let tree = profile.tree();
-            metrics.set_stages(
-                tree.stage_self_totals()
-                    .iter()
-                    .map(|(name, &ns)| (name.as_str(), ns)),
-            );
+        let (metrics, profile) = self.conclude(base, &tally, pooled.spans);
+        BatchOutcome {
+            results,
+            stats,
+            faults: faults.stats(),
+            metrics,
+            worker_metrics: tally.wm,
+            profile,
         }
-        metrics.finalize();
-        metrics
     }
 }
 
@@ -1074,7 +794,8 @@ mod tests {
             ..EngineConfig::hermetic()
         })
         .run_batch("t", &specs);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| out.expect_all()))
+        let err = std::thread::spawn(move || out.expect_all())
+            .join()
             .expect_err("must panic");
         let msg = panic_message(err.as_ref());
         assert!(msg.contains("4 of 4 jobs failed"), "{msg}");

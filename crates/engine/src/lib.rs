@@ -33,6 +33,7 @@ pub mod fault;
 pub mod job;
 pub mod journal;
 pub mod key;
+mod pool;
 pub mod stream;
 
 pub use cache::{CacheProbe, ResultCache};

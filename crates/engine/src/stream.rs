@@ -3,11 +3,12 @@
 //! [`Engine::run_batch`] materializes its results — one slot per spec —
 //! which is right for grids of hundreds of cells and fatal for
 //! populations of millions of devices. [`Engine::run_stream`] is the
-//! other regime: specs arrive from a lazy iterator, flow through the
-//! worker pool over *bounded* channels, and results are folded into a
-//! per-worker accumulator the moment they exist, then discarded. Peak
-//! memory is `O(workers × channel capacity + accumulator size)` —
-//! independent of how many devices stream through.
+//! other regime: the worker pool pulls specs from a lazy iterator, and
+//! results are folded into a per-worker accumulator the moment they
+//! exist, then discarded; only a completion tick crosses the bounded
+//! channel to the calling thread. Peak memory is
+//! `O(workers × channel capacity + accumulator size)` — independent of
+//! how many devices stream through.
 //!
 //! # Determinism contract
 //!
@@ -33,18 +34,12 @@
 
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use kernel_sim::WindowSample;
 use obs::{RunMetrics, WorkerMetrics};
 
-use crate::engine::{panic_message, Engine, JobFailure};
+use crate::engine::{Engine, JobFailure};
 use crate::fault::{FaultInjector, FaultStats};
 use crate::job::{JobResult, JobSpec};
-
-/// In-flight specs per worker the producer may run ahead by. Small
-/// enough that memory stays flat, large enough that workers never
-/// starve while the producer builds the next spec.
-const SPECS_AHEAD_PER_WORKER: usize = 8;
 
 /// Failure reports retained verbatim; anything beyond is counted in
 /// [`StreamStats::failed`] but not stored (a fully-failing million-
@@ -96,7 +91,7 @@ pub struct StreamOutcome<A> {
     pub metrics: RunMetrics,
     /// Merged per-worker counters and histograms.
     pub worker_metrics: WorkerMetrics,
-    /// Span profile: producer and drainer threads first, then workers.
+    /// Span profile: the calling thread first, then workers.
     pub profile: obs::Profile,
 }
 
@@ -110,8 +105,9 @@ impl Engine {
     /// [`crate::EngineConfig::timeline_windows`] is nonzero); `merge`
     /// folds one worker's accumulator into another. Both must be
     /// order-independent for deterministic output (module docs). The
-    /// spec iterator is pulled lazily from a producer thread with
-    /// bounded-channel backpressure: the stream never materializes.
+    /// spec iterator is pulled lazily by whichever worker is free, and
+    /// workers block while the bounded completion channel is full: the
+    /// stream never materializes.
     pub fn run_stream<I, A, F, M>(
         &self,
         batch: &str,
@@ -129,264 +125,53 @@ impl Engine {
         let started = Instant::now();
         let faults = FaultInjector::new(self.config().faults);
         let workers = self.worker_count().max(1);
-        let max_retries = self.config().max_retries;
         let progress = self.config().progress;
-        let timeline_windows = self.config().timeline_windows;
-        let specs = specs.into_iter();
-        let fold = &fold;
-
-        // Live-telemetry handles, resolved once so the hot paths below
-        // touch only atomics (no-ops while the metrics plane is off).
-        let m_jobs = obs::registry::counter(
-            "engine_jobs_executed_total",
-            "Jobs (fleet: devices) simulated to completion.",
-        );
-        let m_failed = obs::registry::counter(
-            "engine_jobs_failed_total",
-            "Jobs that exhausted their retry budget.",
-        );
-        let m_retries = obs::registry::counter(
-            "engine_job_retries_total",
-            "Job execution attempts beyond the first.",
-        );
         let m_dropped = obs::registry::counter(
             "engine_failures_dropped_total",
             "Failure reports dropped by bounded retention (still counted as failed).",
         );
-        let g_spec_queue = obs::registry::gauge(
-            "engine_spec_queue_depth",
-            "Specs produced but not yet claimed by a worker.",
+
+        let (mut executed, mut failed, mut failures_dropped) = (0u64, 0u64, 0u64);
+        let mut failures = Vec::new();
+        let mut last_report = Instant::now();
+        let pooled = self.pool(
+            workers,
+            self.config().timeline_windows,
+            &faults,
+            specs.into_iter().enumerate(),
+            |acc: &mut A, i, spec, result, timeline| fold(acc, i as u64, spec, &result, timeline),
+            |tick| {
+                match tick {
+                    Ok(()) => executed += 1,
+                    Err(failure) => {
+                        failed += 1;
+                        if failures.len() < MAX_RETAINED_FAILURES {
+                            failures.push(failure);
+                        } else {
+                            failures_dropped += 1;
+                            m_dropped.inc();
+                        }
+                    }
+                }
+                if progress && last_report.elapsed() >= Duration::from_millis(500) {
+                    last_report = Instant::now();
+                    let done = executed + failed;
+                    let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
+                    obs::info!("[{batch}] {done} devices streamed — {rate:.0} devices/s");
+                }
+            },
         );
-        let g_tick_queue = obs::registry::gauge(
-            "engine_result_queue_depth",
-            "Completions sent but not yet drained.",
-        );
-        let h_latency = obs::registry::histogram(
-            "engine_job_latency_us",
-            "Per-job wall-clock latency, microseconds.",
-        );
-
-        let (spec_tx, spec_rx) =
-            channel::bounded::<(u64, JobSpec)>(workers * SPECS_AHEAD_PER_WORKER);
-        let (tick_tx, tick_rx) = channel::bounded::<Result<(), JobFailure>>(workers * 4);
-
-        let scope_outcome = crossbeam::thread::scope(|s| {
-            let faults = &faults;
-
-            // Producer: walks the generator, blocking whenever the
-            // workers are more than the channel bound behind. This
-            // thread is the only one that ever sees the iterator, so
-            // generation cost never serializes with simulation.
-            let producer = s.spawn(move |_| {
-                let span = obs::span::enter("generate");
-                let mut produced = 0u64;
-                for spec in specs {
-                    if spec_tx.send((produced, spec)).is_err() {
-                        // Every worker is gone (all dead); stop pulling.
-                        break;
-                    }
-                    // The vendored channel has no len(); depth is kept
-                    // by pairing this inc with the workers' dec.
-                    g_spec_queue.inc();
-                    produced += 1;
-                }
-                drop(span);
-                (produced, obs::span::drain())
-            });
-
-            // Drainer: counts completions and keeps a bounded sample of
-            // failures. Separate from the workers so progress keeps
-            // flowing while every worker is mid-simulation.
-            let drainer = s.spawn(move |_| {
-                let span = obs::span::enter("drain");
-                let mut executed = 0u64;
-                let mut failed = 0u64;
-                let mut failures = Vec::new();
-                let mut last_report = Instant::now();
-                let mut dropped = 0u64;
-                for tick in tick_rx.iter() {
-                    g_tick_queue.dec();
-                    match tick {
-                        Ok(()) => executed += 1,
-                        Err(failure) => {
-                            failed += 1;
-                            obs::error!("engine: {failure}");
-                            if failures.len() < MAX_RETAINED_FAILURES {
-                                failures.push(failure);
-                            } else {
-                                dropped += 1;
-                                m_dropped.inc();
-                            }
-                        }
-                    }
-                    if progress && last_report.elapsed() >= Duration::from_millis(500) {
-                        last_report = Instant::now();
-                        let done = executed + failed;
-                        let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
-                        obs::info!("[{batch}] {done} devices streamed — {rate:.0} devices/s");
-                    }
-                }
-                drop(span);
-                (executed, failed, failures, dropped, obs::span::drain())
-            });
-
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let spec_rx = spec_rx.clone();
-                let tick_tx = tick_tx.clone();
-                handles.push(s.spawn(move |_| {
-                    let heartbeat = obs::watchdog::register(w);
-                    let w_jobs = obs::registry::counter(
-                        &format!("engine_worker_jobs_total{{worker=\"{w}\"}}"),
-                        "Jobs completed, by worker.",
-                    );
-                    let mut acc = A::default();
-                    let mut wm = WorkerMetrics::new();
-                    while let Ok((index, spec)) = spec_rx.recv() {
-                        g_spec_queue.dec();
-                        let _job_span = obs::span::enter("job");
-                        let job_started = Instant::now();
-                        let key = spec.key();
-                        if obs::watchdog::active() {
-                            heartbeat.start(&key.to_string());
-                        }
-                        if let Some(stall) = faults.worker_stall(key) {
-                            // Wall-clock latency only: the job's result
-                            // is untouched, but the heartbeat above now
-                            // has something for the watchdog to catch.
-                            obs::debug!(
-                                "engine: injected_stall key={key} ms={}",
-                                stall.as_millis()
-                            );
-                            std::thread::sleep(stall);
-                        }
-                        let mut attempt = 0u32;
-                        let outcome = loop {
-                            attempt += 1;
-                            let run =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if faults.worker_panic(key, attempt) {
-                                        panic!(
-                                            "injected fault: worker panic \
-                                         (job {key}, attempt {attempt})"
-                                        );
-                                    }
-                                    if timeline_windows > 0 {
-                                        spec.execute_timeline(timeline_windows)
-                                    } else {
-                                        (spec.execute(), Vec::new())
-                                    }
-                                }));
-                            match run {
-                                Ok(r) => break Ok(r),
-                                Err(payload) if attempt > max_retries => {
-                                    break Err(panic_message(payload.as_ref()))
-                                }
-                                Err(_) => {
-                                    wm.inc("retries");
-                                    m_retries.inc();
-                                    obs::debug!("engine: job_retry key={key} attempt={attempt}");
-                                }
-                            }
-                        };
-                        let tick = match outcome {
-                            Ok((result, timeline)) => {
-                                wm.inc("jobs_executed");
-                                wm.add("sim_us", spec.duration.as_micros());
-                                wm.observe("utilization", result.mean_utilization);
-                                fold(&mut acc, index, &spec, &result, &timeline);
-                                m_jobs.inc();
-                                w_jobs.inc();
-                                Ok(())
-                            }
-                            Err(message) => {
-                                m_failed.inc();
-                                Err(JobFailure {
-                                    index: index as usize,
-                                    key,
-                                    label: spec.label(),
-                                    attempts: attempt,
-                                    message,
-                                })
-                            }
-                        };
-                        wm.observe_log("job_latency_us", job_started.elapsed().as_secs_f64() * 1e6);
-                        h_latency.observe(job_started.elapsed().as_secs_f64() * 1e6);
-                        if tick_tx.send(tick).is_err() {
-                            break;
-                        }
-                        g_tick_queue.inc();
-                    }
-                    heartbeat.idle();
-                    (acc, wm, obs::span::drain())
-                }));
-            }
-            // Only worker clones may keep the channels open: workers
-            // finish when the producer exhausts the stream, the drainer
-            // when the last worker hangs up.
-            drop(spec_rx);
-            drop(tick_tx);
-
-            let mut acc = A::default();
-            let mut merged_wm = WorkerMetrics::new();
-            let mut dead_workers = 0usize;
-            let mut thread_spans: Vec<(String, obs::ThreadSpans)> = Vec::new();
-            for (w, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((worker_acc, wm, spans)) => {
-                        merge(&mut acc, worker_acc);
-                        merged_wm.merge_from(&wm);
-                        if !spans.is_empty() {
-                            thread_spans.push((format!("worker-{w}"), spans));
-                        }
-                    }
-                    Err(payload) => {
-                        dead_workers += 1;
-                        obs::error!(
-                            "engine: stream worker died: {}",
-                            panic_message(payload.as_ref())
-                        );
-                    }
-                }
-            }
-            let (total, producer_spans) = producer.join().expect("producer must not panic");
-            let (executed, failed, failures, failures_dropped, drainer_spans) =
-                drainer.join().expect("drainer must not panic");
-            for (name, spans) in [("drainer", drainer_spans), ("producer", producer_spans)] {
-                if !spans.is_empty() {
-                    thread_spans.insert(0, (name.to_string(), spans));
-                }
-            }
-            (
-                acc,
-                total,
-                executed,
-                failed,
-                failures,
-                failures_dropped,
-                dead_workers,
-                merged_wm,
-                thread_spans,
-            )
-        });
-        let (
-            acc,
-            total,
-            executed,
-            failed,
-            failures,
-            failures_dropped,
-            dead_workers,
-            worker_totals,
-            thread_spans,
-        ) = scope_outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        let mut acc = A::default();
+        for shard in pooled.accs {
+            merge(&mut acc, shard);
+        }
 
         let stats = StreamStats {
-            total,
+            total: pooled.pulled as u64,
             executed,
             failed,
             workers,
-            dead_workers,
+            dead_workers: pooled.dead,
             elapsed_us: started.elapsed().as_micros() as u64,
         };
         if progress {
@@ -401,61 +186,24 @@ impl Engine {
             );
         }
 
-        // Profile: scoop the calling thread's spans too (the driver's
-        // own stages), then the stream's threads.
-        let mut profile = obs::Profile::default();
-        let caller_spans = obs::span::drain();
-        if !caller_spans.is_empty() {
-            profile.threads.push(("caller".to_string(), caller_spans));
-        }
-        profile.threads.extend(thread_spans);
-
-        let mut metrics = RunMetrics {
+        let base = RunMetrics {
             batch: batch.to_string(),
             total: stats.total,
             executed: stats.executed,
             failed: stats.failed,
             failures_dropped,
-            retries: worker_totals.counter("retries"),
             workers: stats.workers as u64,
             wall_us: stats.elapsed_us,
-            sim_us: worker_totals.counter("sim_us"),
-            peak_rss_bytes: obs::peak_rss_bytes().unwrap_or(0),
             ..Default::default()
         };
-        metrics.set_job_latencies(worker_totals.log_histogram("job_latency_us"));
-        if !profile.is_empty() {
-            let tree = profile.tree();
-            metrics.set_stages(
-                tree.stage_self_totals()
-                    .iter()
-                    .map(|(name, &ns)| (name.as_str(), ns)),
-            );
-        }
-        metrics.finalize();
-
-        if self.config().write_metrics {
-            let dir = self.metrics_dir(batch);
-            let write = std::fs::create_dir_all(&dir)
-                .and_then(|()| std::fs::write(dir.join("metrics.json"), metrics.to_json()));
-            if let Err(e) = write {
-                obs::warn!("engine: could not write metrics.json for `{batch}`: {e}");
-            }
-            if !profile.is_empty() {
-                let json = obs::export_spans_chrome_json(&profile);
-                if let Err(e) = std::fs::write(dir.join("profile.trace.json"), json) {
-                    obs::warn!("engine: could not write profile.trace.json for `{batch}`: {e}");
-                }
-            }
-        }
-
+        let (metrics, profile) = self.conclude(base, &pooled.tally, pooled.spans);
         StreamOutcome {
             acc,
             stats,
             failures,
             faults: faults.stats(),
             metrics,
-            worker_metrics: worker_totals,
+            worker_metrics: pooled.tally.wm,
             profile,
         }
     }
@@ -467,7 +215,7 @@ mod tests {
     use crate::engine::EngineConfig;
     use crate::fault::FaultPlan;
     use crate::job::WorkloadSpec;
-    use policies::PolicyDesc;
+    use policies::{Hysteresis, PolicyDesc, PredictorDesc, SpeedChange, VoltageRule};
     use sim_core::FleetSummary;
     use workloads::Benchmark;
 
@@ -621,43 +369,94 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_flags_an_injected_stall() {
-        obs::watchdog::set_active(true);
-        let (out, stalls) = std::thread::scope(|s| {
-            let run = s.spawn(|| {
-                summarize(
-                    EngineConfig {
-                        faults: Some(FaultPlan {
-                            stall: 1.0,
-                            stall_ms: 400,
-                            ..FaultPlan::default()
-                        }),
-                        ..EngineConfig::hermetic()
-                    },
-                    2,
-                )
-            });
-            // Patrol with a 50 ms threshold while the 400 ms stalls run.
-            let mut stalls = Vec::new();
-            for _ in 0..200 {
-                stalls.extend(obs::watchdog::patrol(50));
-                if run.is_finished() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(20));
+    fn batch_and_stream_report_the_same_machine_totals() {
+        // Two of the three policies share a label (the voltage rule is
+        // not part of it), so `per_policy` has two buckets.
+        let policies = [
+            PolicyDesc::best_from_paper(),
+            PolicyDesc::best_from_paper().with_voltage_rule(VoltageRule::default()),
+            PolicyDesc::interval(
+                PredictorDesc::AvgN(3),
+                Hysteresis::BEST,
+                SpeedChange::Peg,
+                SpeedChange::Peg,
+            ),
+        ];
+        let specs: Vec<JobSpec> = spec_stream(6)
+            .enumerate()
+            .map(|(i, spec)| JobSpec {
+                workload: WorkloadSpec::Benchmark(Benchmark::Mpeg),
+                policy: policies[i % 3],
+                ..spec
+            })
+            .collect();
+        let engine = Engine::new(EngineConfig {
+            jobs: 2,
+            ..EngineConfig::hermetic()
+        });
+        let batch = engine.run_batch("totals-test", &specs).metrics;
+        let stream = engine
+            .run_stream("totals-test", specs, |_: &mut (), _, _, _, _| {}, |_, _| {})
+            .metrics;
+        assert!(batch.clock_switches > 0, "MPEG switches the clock");
+        assert!(batch.voltage_switches > 0, "the voltage rule switches Vdd");
+        assert_eq!(stream.clock_switches, batch.clock_switches);
+        assert_eq!(stream.voltage_switches, batch.voltage_switches);
+        assert_eq!(stream.sched_dropped, batch.sched_dropped);
+        assert_eq!(stream.per_policy, batch.per_policy);
+        let cells: Vec<u64> = batch.per_policy.iter().map(|p| p.cells).collect();
+        assert_eq!(cells.iter().sum::<u64>(), 6);
+        assert_eq!(cells.len(), 2, "{:?}", batch.per_policy);
+    }
+
+    /// Runs `run` on its own thread while patrolling heartbeats with a
+    /// 50 ms threshold; returns its output and every stall flagged.
+    fn patrolled<T: Send + 'static>(
+        run: impl FnOnce() -> T + Send + 'static,
+    ) -> (T, Vec<obs::watchdog::Stall>) {
+        let run = std::thread::spawn(run);
+        let mut stalls = Vec::new();
+        for _ in 0..200 {
+            stalls.extend(obs::watchdog::patrol(50));
+            if run.is_finished() {
+                break;
             }
-            (run.join().expect("stream finishes"), stalls)
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        (run.join().expect("run finishes"), stalls)
+    }
+
+    #[test]
+    fn watchdog_flags_an_injected_stall() {
+        let stalling = EngineConfig {
+            faults: Some(FaultPlan {
+                stall: 1.0,
+                stall_ms: 400,
+                ..FaultPlan::default()
+            }),
+            ..EngineConfig::hermetic()
+        };
+        obs::watchdog::set_active(true);
+        let config = stalling.clone();
+        let (streamed, stream_stalls) = patrolled(move || summarize(config, 2));
+        let (batched, batch_stalls) = patrolled(move || {
+            let specs: Vec<JobSpec> = spec_stream(2).collect();
+            Engine::new(stalling).run_batch("stall-test", &specs)
         });
         obs::watchdog::set_active(false);
-        assert_eq!(out.stats.executed, 2, "stalls delay, never fail");
-        assert_eq!(out.faults.stalls, 2);
-        assert!(
-            !stalls.is_empty(),
-            "watchdog must flag the stalled worker live"
-        );
-        assert!(
-            stalls.iter().all(|st| !st.job.is_empty()),
-            "stall reports carry the in-flight job key"
-        );
+        assert_eq!(streamed.stats.executed, 2, "stalls delay, never fail");
+        assert_eq!(streamed.faults.stalls, 2);
+        assert_eq!(batched.stats.executed, 2, "stalls delay, never fail");
+        assert_eq!(batched.faults.stalls, 2, "the batch path stalls too");
+        for stalls in [stream_stalls, batch_stalls] {
+            assert!(
+                !stalls.is_empty(),
+                "watchdog must flag the stalled worker live"
+            );
+            assert!(
+                stalls.iter().all(|st| !st.job.is_empty()),
+                "stall reports carry the in-flight job key"
+            );
+        }
     }
 }

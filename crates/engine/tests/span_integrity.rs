@@ -143,6 +143,46 @@ fn span_tree_is_identical_across_worker_counts() {
 }
 
 #[test]
+fn waiting_threads_record_no_stage() {
+    let _l = profiling_lock();
+    let specs = grid();
+    span::set_enabled(true);
+    let _ = span::drain();
+    let root = temp_root("waiting");
+    let engine = Engine::new(config(2, root.clone()));
+    let batch = engine.run_batch("spans-waiting", &specs);
+    let stream = engine.run_stream(
+        "spans-waiting",
+        specs.clone(),
+        |_: &mut (), _, _, _, _| {},
+        |_, _| {},
+    );
+    span::set_enabled(false);
+    let _ = std::fs::remove_dir_all(&root);
+
+    // A thread blocked on a channel is not doing the work of a stage:
+    // neither entry point profiles its waiting as `drain` or
+    // `generate`, while the real work (jobs, journal writes) stays
+    // attributed.
+    for out in [&batch.profile, &stream.profile] {
+        let tree = out.tree();
+        assert_eq!(
+            tree.count_of("job"),
+            specs.len() as u64,
+            "\n{}",
+            tree.shape()
+        );
+        for stage in ["drain", "generate"] {
+            assert_eq!(tree.count_of(stage), 0, "`{stage}` span:\n{}", tree.shape());
+        }
+    }
+    assert_eq!(
+        batch.profile.tree().count_of("journal_append"),
+        specs.len() as u64
+    );
+}
+
+#[test]
 fn disabled_profiler_yields_empty_profile() {
     let _l = profiling_lock();
     span::set_enabled(false);

@@ -79,6 +79,55 @@ fn summary_bytes_survive_cache_state_and_chaos() {
     assert_eq!(plain, chaotic, "chaos with retries must not change bytes");
 }
 
+/// `metrics.json` carries the fleet's true switch totals: its clock
+/// switches equal what `fleet.csv` implies (devices × mean switches per
+/// second × seconds per device), and `per_policy` covers every device.
+#[test]
+fn metrics_totals_match_the_fleet_csv() {
+    let dir = results_dir("totals");
+    let out = repro()
+        .env("REPRO_RESULTS_DIR", &dir)
+        .args(["--quiet", "--seed", "7", "fleet", "--devices", "40"])
+        .args(["--device-secs", "2", "--jobs", "2"])
+        .output()
+        .expect("repro runs");
+    assert!(
+        out.status.success(),
+        "repro fleet failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let read = |name: &str| std::fs::read_to_string(dir.join("fleet").join(name)).unwrap();
+    let (csv, metrics) = (read("fleet.csv"), read("metrics.json"));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let row: Vec<f64> = csv
+        .lines()
+        .find_map(|l| l.strip_prefix("clock_switches_per_sec,"))
+        .expect("fleet.csv has a clock_switches_per_sec row")
+        .split(',')
+        .map(|v| v.parse().expect("numeric column"))
+        .collect();
+    let (count, mean) = (row[0], row[1]);
+    let implied = (count * mean * 2.0).round() as u64;
+    // The first occurrence of a key is the top-level one: per_policy
+    // comes last.
+    let field = |json: &str, key: &str| -> u64 {
+        json.split(&format!("\"{key}\": "))
+            .nth(1)
+            .and_then(|rest| rest.split(&[',', '\n', '}'][..]).next())
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no {key} in:\n{json}"))
+    };
+    assert!(implied > 0, "the fleet switches its clock:\n{csv}");
+    assert_eq!(field(&metrics, "clock_switches"), implied, "{metrics}");
+    let per_policy = metrics
+        .split("\"per_policy\": [")
+        .nth(1)
+        .expect("per_policy array");
+    assert_eq!(per_policy.matches("\"policy\": ").count(), 1, "{metrics}");
+    assert_eq!(field(per_policy, "cells"), 40, "{metrics}");
+}
+
 #[test]
 fn seed_and_size_change_the_population() {
     let (base, _) = run_fleet("base", "40", &[]);

@@ -20,11 +20,10 @@
 //!   deliver more total energy than a constant load of the same average
 //!   power.
 
-use serde::{Deserialize, Serialize};
 use sim_core::{Power, SimDuration};
 
 /// Battery model constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatteryParams {
     /// Nominal deliverable energy at the reference draw, in watt-hours.
     /// Two AAA alkalines ≈ 3.46 Wh.

@@ -8,7 +8,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_core::{Frequency, Voltage};
 
 /// Stock core supply of the Itsy v1.5.
@@ -22,7 +21,7 @@ pub const V_LOW: Voltage = Voltage::from_mv(1_230);
 pub type StepIndex = usize;
 
 /// An ordered table of discrete clock steps.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClockTable {
     steps_khz: Vec<u32>,
 }

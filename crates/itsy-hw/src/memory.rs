@@ -18,13 +18,12 @@
 //! (turning the machine into the "perfect scaling" model earlier
 //! trace-driven studies assumed).
 
-use serde::{Deserialize, Serialize};
 use sim_core::Frequency;
 
 use crate::clock::{ClockTable, StepIndex};
 
 /// Per-clock-step memory access costs in core cycles.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryTiming {
     /// `(cycles per word read, cycles per cache-line read)` per step.
     costs: Vec<(u32, u32)>,

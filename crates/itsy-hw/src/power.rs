@@ -22,13 +22,12 @@
 //! Default parameters are calibrated against the paper's anchors; see
 //! `EXPERIMENTS.md` for the paper-vs-model comparison.
 
-use serde::{Deserialize, Serialize};
 use sim_core::{Frequency, Power, SimDuration, Voltage};
 
 use crate::cpu::CpuMode;
 
 /// Tunable constants of the power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerParams {
     /// Active core power per MHz at `v_ref`, in watts.
     pub core_w_per_mhz: f64,
@@ -108,7 +107,7 @@ impl PowerParams {
 }
 
 /// Which peripheral devices are currently powered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeviceSet {
     /// LCD panel enabled.
     pub lcd: bool,

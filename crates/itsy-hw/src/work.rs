@@ -11,7 +11,6 @@
 //! boundaries (a policy may change the clock mid-burst) without
 //! accumulating rounding debt.
 
-use serde::{Deserialize, Serialize};
 use sim_core::{Frequency, SimDuration};
 
 use crate::clock::StepIndex;
@@ -34,7 +33,7 @@ use crate::memory::MemoryTiming;
 /// let speedup = slow.as_micros() as f64 / fast.as_micros() as f64;
 /// assert!(speedup < 3.5, "3.5x clock gives only {speedup:.2}x");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Work {
     /// Pure CPU cycles (frequency-independent cycle count).
     pub cpu_cycles: f64,

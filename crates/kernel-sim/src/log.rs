@@ -1,6 +1,5 @@
 //! Kernel logs: scheduler activity and deadline outcomes.
 
-use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimTime};
 
 use crate::task::Pid;
@@ -9,7 +8,7 @@ use crate::task::Pid;
 /// "the process identifier of the process being scheduled, the time at
 /// which it was scheduled (with microsecond resolution) and the current
 /// clock rate".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedRecord {
     /// Time of the decision, µs.
     pub at_us: u64,
@@ -24,7 +23,7 @@ pub struct SchedRecord {
 /// §5.1: "Due to kernel memory limitations, we could only capture a
 /// subset of the process behavior" — the log has a capacity; once full
 /// it stops recording and counts what it dropped.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SchedLog {
     records: Vec<SchedRecord>,
     enabled: bool,
@@ -113,7 +112,7 @@ impl SchedLog {
 }
 
 /// The outcome of one deadline-bearing piece of work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeadlineRecord {
     /// What kind of work (e.g. `frame`, `audio`, `speech`).
     pub label: &'static str,
@@ -136,7 +135,7 @@ impl DeadlineRecord {
 }
 
 /// All deadline outcomes of a run.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DeadlineLog {
     records: Vec<DeadlineRecord>,
 }

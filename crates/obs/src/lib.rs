@@ -14,9 +14,9 @@
 //! - [`logger`] — leveled, machine-readable stderr records replacing
 //!   ad-hoc `eprintln!`s. Verbosity is a process-wide switch
 //!   ([`set_verbosity`]) that `repro --quiet`/`-v` drives.
-//! - [`metrics`] — per-worker counters and histograms (built on
-//!   [`sim_core::Histogram`]) that merge associatively, so a parallel
-//!   batch aggregates without shared mutation.
+//! - [`metrics`] — per-worker counters and log-bucketed histograms
+//!   (built on [`sim_core::LogHistogram`]) that merge associatively, so
+//!   a parallel batch aggregates without shared mutation.
 //! - [`run_metrics`] — the [`RunMetrics`] summary block written as
 //!   `metrics.json` next to each batch's results.
 //! - [`export`] — deterministic trace export: merged event streams

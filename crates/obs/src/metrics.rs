@@ -13,13 +13,12 @@
 
 use std::collections::BTreeMap;
 
-use sim_core::{Histogram, LogHistogram};
+use sim_core::LogHistogram;
 
 /// Metrics owned by one worker thread (or the collector).
 #[derive(Debug, Clone, Default)]
 pub struct WorkerMetrics {
     counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Histogram>,
     log_hists: BTreeMap<&'static str, LogHistogram>,
 }
 
@@ -44,20 +43,6 @@ impl WorkerMetrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records `value` in histogram `name`, creating a unit histogram
-    /// ([0, 1] × 100 bins) on first use.
-    pub fn observe(&mut self, name: &'static str, value: f64) {
-        self.hists
-            .entry(name)
-            .or_insert_with(Histogram::unit)
-            .record(value);
-    }
-
-    /// Histogram `name`, if anything was ever observed under it.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
     /// Records `value` in log-bucketed histogram `name` — the shape for
     /// unbounded wall-clock quantities (latencies, service times) whose
     /// range isn't known up front.
@@ -75,12 +60,6 @@ impl WorkerMetrics {
     pub fn merge_from(&mut self, other: &WorkerMetrics) {
         for (&name, &v) in &other.counters {
             self.add(name, v);
-        }
-        for (&name, h) in &other.hists {
-            self.hists
-                .entry(name)
-                .or_insert_with(Histogram::unit)
-                .merge(h);
         }
         for (&name, h) in &other.log_hists {
             self.log_hists.entry(name).or_default().merge(h);
@@ -123,44 +102,23 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_across_workers_pools_mass() {
-        let mut a = WorkerMetrics::new();
-        for _ in 0..10 {
-            a.observe("utilization", 0.25);
-        }
-        let mut b = WorkerMetrics::new();
-        for _ in 0..30 {
-            b.observe("utilization", 0.75);
-        }
-        let total = WorkerMetrics::merge([&a, &b]);
-        let h = total.histogram("utilization").expect("merged histogram");
-        assert_eq!(h.count(), 40);
-        assert!((h.mass_in(0.0, 0.5) - 0.25).abs() < 1e-9);
-        assert!((h.mass_in(0.5, 1.0) - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
     fn merge_order_does_not_matter() {
         let mut a = WorkerMetrics::new();
         a.add("x", 2);
-        a.observe("u", 0.1);
+        a.observe_log("u", 10.0);
         let mut b = WorkerMetrics::new();
         b.add("x", 5);
-        b.observe("u", 0.9);
+        b.observe_log("u", 90.0);
         let ab = WorkerMetrics::merge([&a, &b]);
         let ba = WorkerMetrics::merge([&b, &a]);
         assert_eq!(ab.counter("x"), ba.counter("x"));
-        assert_eq!(
-            ab.histogram("u").map(|h| h.count()),
-            ba.histogram("u").map(|h| h.count())
-        );
+        assert_eq!(ab.log_histogram("u"), ba.log_histogram("u"));
     }
 
     #[test]
     fn merge_of_nothing_is_empty() {
         let total = WorkerMetrics::merge(std::iter::empty());
         assert_eq!(total.counter("anything"), 0);
-        assert!(total.histogram("anything").is_none());
         assert!(total.log_histogram("anything").is_none());
     }
 

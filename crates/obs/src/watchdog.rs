@@ -5,7 +5,7 @@
 //! outside, exactly like a healthy run that is merely slow. Heartbeats
 //! make the difference visible. Each engine worker registers a
 //! [`Heartbeat`] slot, stamps it when a job starts, and marks it idle
-//! when the stream drains; the watchdog (driven by the telemetry
+//! when its batch or stream runs dry; the watchdog (driven by the telemetry
 //! snapshot thread) scans the slots and emits one structured `obs`
 //! warning — worker id, the in-flight `JobSpec` key, stalled duration —
 //! per stall onset. This is the chaos/fault harness's first *live*
@@ -84,9 +84,9 @@ fn slots() -> &'static Mutex<Vec<Arc<Heartbeat>>> {
 }
 
 /// Registers a heartbeat slot for `worker`. Slots live for the process
-/// (streams are few and short-lived per process); a re-registered
-/// worker id simply adds a new slot — stale ones sit idle and never
-/// trip the scan.
+/// (engine runs — batches and streams — are few per process, one slot
+/// per worker each); a re-registered worker id simply adds a new slot —
+/// stale ones sit idle and never trip the scan.
 pub fn register(worker: usize) -> Arc<Heartbeat> {
     let hb = Arc::new(Heartbeat {
         worker,

@@ -16,8 +16,6 @@
 //!   formatting is lossy and locale/version-dependent, bits are not;
 //! - enum variants use lowercase stable tags, not `Debug` output.
 
-use serde::{Deserialize, Serialize};
-
 use itsy_hw::{ClockTable, StepIndex};
 use sim_core::Voltage;
 
@@ -28,7 +26,7 @@ use crate::simple::NonIdleCycleAvg;
 use crate::speed::SpeedChange;
 
 /// A buildable, hashable description of a utilization predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PredictorDesc {
     /// Weiser's PAST: last interval only.
     Past,
@@ -98,7 +96,7 @@ impl PredictorDesc {
 }
 
 /// A buildable, hashable description of a complete clock policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyDesc {
     /// Pin the clock and voltage — the constant-speed baselines.
     Constant {

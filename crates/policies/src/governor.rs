@@ -10,7 +10,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_core::{SimTime, Voltage};
 
 use itsy_hw::clock::{V_HIGH, V_LOW};
@@ -21,7 +20,7 @@ use crate::predictor::Predictor;
 use crate::speed::SpeedChange;
 
 /// The hysteresis band gating clock changes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hysteresis {
     /// Scale up when the weighted utilization exceeds this.
     pub up: f64,
@@ -172,7 +171,7 @@ fn emit_decision(
 /// Voltage-scaling rule: run the core at 1.23 V whenever the clock is at
 /// or below a threshold step (the paper used 162.2 MHz, the fastest
 /// step at which the lowered supply is stable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VoltageRule {
     /// Steps at or below this run at the low voltage.
     pub low_at_or_below: StepIndex,

@@ -23,11 +23,10 @@
 //! under the cube rule `α = 3`.
 
 use crate::scaling::PowerModel;
-use serde::{Deserialize, Serialize};
 
 /// A recorded per-interval work trace. Entry `w ∈ [0, 1]` is the work
 /// offered in that interval as a fraction of a full-speed interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkTrace {
     work: Vec<f64>,
 }

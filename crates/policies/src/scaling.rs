@@ -25,7 +25,6 @@
 //! [`yds`] call serves any `α ≥ 1`.
 
 use itsy_hw::ClockTable;
-use serde::{Deserialize, Serialize};
 
 /// Tolerance for matching event times that should coincide but may
 /// differ by floating-point noise.
@@ -38,7 +37,7 @@ const SUBSTEPS: u32 = 8;
 
 /// One job: `work` units (full-speed interval equivalents) released at
 /// `release` that must finish by `deadline`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     /// Arrival time, in scheduling intervals.
     pub release: f64,
@@ -137,7 +136,7 @@ impl JobSet {
 
 /// The power model `P(s) = s^α`: energy to run work `w` at speed `s`
 /// is `w · s^α`. See the module docs for the convention.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     alpha: f64,
 }

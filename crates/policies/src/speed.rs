@@ -9,12 +9,10 @@
 //! zero, we increment the clock index value before doubling it.
 //! Separate policies may be used for scaling upwards and downwards."
 
-use serde::{Deserialize, Serialize};
-
 use itsy_hw::{ClockTable, StepIndex};
 
 /// A speed-setting rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpeedChange {
     /// Move one step.
     One,

@@ -6,8 +6,6 @@
 //! a bounded quantity (utilization, power) and answers mass-in-range
 //! and percentile queries.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over a fixed `[lo, hi]` range with equal-width bins.
 ///
 /// # Examples
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(h.edge_mass() > 0.9, "bimodal: all mass at the edges");
 /// assert_eq!(h.count(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -29,8 +29,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Sub-buckets per octave (power of two). 16 gives ≤ 2.2 % relative
 /// quantile error from bucket midpointing.
 const SUBBUCKETS: f64 = 16.0;
@@ -69,7 +67,7 @@ fn to_fixed(v: f64) -> i128 {
 /// let back = LogHistogram::decode(&h.encode()).unwrap();
 /// assert_eq!(back, h);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     /// Bucket index → count; index `i` covers `[2^(i/16), 2^((i+1)/16))`.
     buckets: BTreeMap<i32, u64>,

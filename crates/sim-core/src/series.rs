@@ -4,8 +4,6 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// A sequence of `(time, value)` samples in nondecreasing time order.
@@ -13,7 +11,7 @@ use crate::time::SimTime;
 /// This is the interchange type between the simulator (which produces
 /// utilization, frequency and power traces) and the analysis / experiment
 /// crates (which filter, resample and plot them).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     /// Short label used in CSV headers and printed tables.
     pub name: String,

@@ -18,8 +18,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::LogHistogram;
 
 /// A bundle of per-metric sketches over a device population.
@@ -50,7 +48,7 @@ use crate::LogHistogram;
 /// let round = FleetSummary::decode(&merged.encode()).unwrap();
 /// assert_eq!(round, merged);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetSummary {
     metrics: BTreeMap<String, LogHistogram>,
     devices: u64,

@@ -9,13 +9,12 @@
 //! property the paper's methodology needs (their 95 % CIs were < 0.7 %
 //! of the mean across replayed runs).
 
-use serde::{Deserialize, Serialize};
 use sim_core::{Rng, SimDuration, SimTime};
 
 use itsy_hw::Work;
 
 /// One user-input event and the computation it triggers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InputEvent {
     /// When the event arrives, µs from trace start.
     pub at_us: u64,
@@ -40,7 +39,7 @@ impl InputEvent {
 }
 
 /// An ordered input trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InputTrace {
     events: Vec<InputEvent>,
 }
