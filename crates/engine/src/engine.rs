@@ -36,7 +36,7 @@
 //! a fault-free run.
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use obs::registry::counter;
 use obs::{RunMetrics, WorkerMetrics};
@@ -46,7 +46,7 @@ use crate::fault::{FaultInjector, FaultPlan, FaultStats};
 use crate::job::{JobResult, JobSpec};
 use crate::journal::Journal;
 use crate::key::ContentKey;
-use crate::pool::Tally;
+use crate::pool::{Tally, PROGRESS_INTERVAL};
 
 /// How a batch should be executed.
 #[derive(Debug, Clone)]
@@ -390,8 +390,11 @@ impl Engine {
             0,
             &faults,
             pending.into_iter(),
-            |_: &mut (), i, _, result, _| (i, result),
+            |_: &mut (), i, _, result, _| Some((i, result)),
             |msg| {
+                // A quiet interval (`None`) has nothing to write; every
+                // completion below reports progress itself.
+                let Some(msg) = msg else { return };
                 match msg {
                     Ok((i, result)) => {
                         let spec = &specs[i];
@@ -416,7 +419,7 @@ impl Engine {
                 }
                 done += 1;
                 if self.config.progress
-                    && (done == to_run || last_report.elapsed() >= Duration::from_millis(500))
+                    && (done == to_run || last_report.elapsed() >= PROGRESS_INTERVAL)
                 {
                     last_report = Instant::now();
                     let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);

@@ -9,15 +9,24 @@
 //! Workers pull `(index, spec)` pairs from a `Mutex`-guarded iterator, so
 //! a lazy stream is advanced by whichever worker is free and never
 //! materializes. A job's result goes to the caller's `finish` hook on
-//! the worker (the stream folds it there); whatever `finish` returns
-//! travels over a bounded channel to the caller's `drain` hook, which
-//! runs on the calling thread. The bound keeps completed-but-undrained
-//! results from piling up faster than the drainer absorbs them.
+//! the worker. The stream folds it there and sends nothing; the batch
+//! hands it on, because its cache, journal and slots live on the
+//! calling thread. Only those batch results and [`JobFailure`]s cross a
+//! bounded channel to the caller's `drain` hook on the calling thread,
+//! so a stream's counts come from the workers' tallies, not from the
+//! channel. The bound keeps completed-but-undrained results from piling
+//! up faster than the drainer absorbs them.
+//!
+//! A job's content key is computed only when something reads it: an
+//! active fault plan, the watchdog, a retry log line or a failure
+//! report. A healthy stream with no plan never computes one.
 
+use std::cell::LazyCell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex, PoisonError};
-use std::time::Instant;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use kernel_sim::WindowSample;
 use obs::registry::{counter, gauge, histogram, Gauge};
@@ -28,6 +37,10 @@ use crate::engine::{panic_message, Engine, JobFailure};
 use crate::fault::FaultInjector;
 use crate::job::{JobResult, JobSpec};
 
+/// How often a run may print a progress line, and how long the calling
+/// thread waits for a message before waking `drain` without one.
+pub(crate) const PROGRESS_INTERVAL: Duration = Duration::from_millis(500);
+
 /// What a set of jobs added up to: one per worker, plus one for the
 /// results a batch reused from its journal and cache. Merging is
 /// addition, so the total never depends on which worker ran which job.
@@ -36,6 +49,9 @@ pub(crate) struct Tally {
     /// Counters (`retries`, `sim_us`, switch and drop totals) and
     /// log-bucketed wall-clock histograms.
     pub(crate) wm: WorkerMetrics,
+    /// Jobs run to completion on a worker. Results a batch reuses from
+    /// its journal or cache are recorded but not counted here.
+    pub(crate) executed: u64,
     /// Cells and switches per policy, keyed by descriptor so the fold
     /// never formats a label.
     per_policy: Vec<(PolicyDesc, PolicyMetrics)>,
@@ -65,6 +81,7 @@ impl Tally {
     /// once; [`Tally::metrics`] sums its entries by label.
     pub(crate) fn merge(&mut self, other: Tally) {
         self.wm.merge_from(&other.wm);
+        self.executed += other.executed;
         self.per_policy.extend(other.per_policy);
     }
 
@@ -116,9 +133,12 @@ pub(crate) struct Pooled<A> {
 impl Engine {
     /// Runs every job from `jobs` on `workers` threads.
     ///
-    /// `finish` turns a successful job into the message sent to `drain`
-    /// (and may fold it into the worker's accumulator on the way);
-    /// a job that exhausts its retries is sent as a [`JobFailure`].
+    /// `finish` takes each successful job on its worker, may fold it
+    /// into the worker's accumulator, and returns what, if anything,
+    /// the calling thread needs of it. `drain` gets those values and
+    /// every [`JobFailure`] on the calling thread, and `None` whenever
+    /// [`PROGRESS_INTERVAL`] passes with nothing to drain, so a caller
+    /// whose jobs send nothing can still report progress.
     /// `timeline_windows > 0` runs jobs with the windowed timeline.
     pub(crate) fn pool<I, A, T, F, D>(
         &self,
@@ -133,10 +153,13 @@ impl Engine {
         I: Iterator<Item = (usize, JobSpec)> + Send,
         A: Default + Send,
         T: Send,
-        F: Fn(&mut A, usize, &JobSpec, JobResult, &[WindowSample]) -> T + Sync,
-        D: FnMut(Result<T, JobFailure>),
+        F: Fn(&mut A, usize, &JobSpec, JobResult, &[WindowSample]) -> Option<T> + Sync,
+        D: FnMut(Option<Result<T, JobFailure>>),
     {
-        let g_results = gauge("engine_result_queue_depth", "Completions not yet drained.");
+        let g_results = gauge(
+            "engine_result_queue_depth",
+            "Batch results and failures sent but not yet drained.",
+        );
         let source = Mutex::new((0usize, jobs));
         let (tx, rx) = mpsc::sync_channel(workers * 4);
         let mut pooled = Pooled::default();
@@ -152,9 +175,15 @@ impl Engine {
             // Only worker clones keep the channel open, so the drain
             // loop ends when the last worker exits.
             drop(tx);
-            for msg in rx {
-                g_results.dec();
-                drain(msg);
+            loop {
+                match rx.recv_timeout(PROGRESS_INTERVAL) {
+                    Ok(msg) => {
+                        g_results.dec();
+                        drain(Some(msg));
+                    }
+                    Err(RecvTimeoutError::Timeout) => drain(None),
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
             }
             // A worker that died outside the catch-unwind fence is
             // reported instead of aborting the process.
@@ -180,8 +209,8 @@ impl Engine {
     }
 
     /// One worker: takes jobs until the source runs dry, runs each in the
-    /// retry fence, and sends what `finish` makes of it down `tx`,
-    /// counting it in the `g_results` queue-depth gauge.
+    /// retry fence, and sends failures and whatever `finish` returns
+    /// down `tx`, counting each in the `g_results` queue-depth gauge.
     fn work<I, A, T, F>(
         &self,
         w: usize,
@@ -194,7 +223,7 @@ impl Engine {
     where
         I: Iterator<Item = (usize, JobSpec)>,
         A: Default,
-        F: Fn(&mut A, usize, &JobSpec, JobResult, &[WindowSample]) -> T,
+        F: Fn(&mut A, usize, &JobSpec, JobResult, &[WindowSample]) -> Option<T>,
     {
         // Live-telemetry handles, resolved once so the loop below
         // touches only atomics (no-ops while the metrics plane is off).
@@ -206,6 +235,7 @@ impl Engine {
         let w_jobs = counter(&worker_jobs, "Jobs completed, by worker.");
         let heartbeat = obs::watchdog::register(w);
         let max_retries = self.config().max_retries;
+        let faulty = faults.is_active();
         let (mut acc, mut tally) = (A::default(), Tally::default());
         // A source poisoned by a panicking iterator ends the run for
         // every worker.
@@ -218,14 +248,16 @@ impl Engine {
         while let Some((index, spec)) = next() {
             let job_span = obs::span::enter("job");
             let started = Instant::now();
-            let key = spec.key();
+            // Computed on first read only (see the module docs).
+            let key = LazyCell::new(|| spec.key());
             if obs::watchdog::active() {
                 heartbeat.start(&key.to_string());
             }
-            if let Some(stall) = faults.worker_stall(key) {
+            if let Some(stall) = faulty.then(|| faults.worker_stall(*key)).flatten() {
                 // Wall-clock latency only: the result is untouched, but
                 // the heartbeat above now has something for the
                 // watchdog to catch.
+                let key = *key;
                 obs::debug!("engine: injected_stall key={key} ms={}", stall.as_millis());
                 std::thread::sleep(stall);
             }
@@ -233,7 +265,8 @@ impl Engine {
             let outcome = loop {
                 attempts += 1;
                 let run = catch_unwind(AssertUnwindSafe(|| {
-                    if faults.worker_panic(key, attempts) {
+                    if faulty && faults.worker_panic(*key, attempts) {
+                        let key = *key;
                         panic!("injected fault: worker panic (job {key}, attempt {attempts})");
                     }
                     if timeline_windows > 0 {
@@ -250,7 +283,7 @@ impl Engine {
                     Err(_) => {
                         tally.wm.inc("retries");
                         m_retries.inc();
-                        obs::debug!("engine: job_retry key={key} attempt={attempts}");
+                        obs::debug!("engine: job_retry key={} attempt={attempts}", *key);
                     }
                 }
             };
@@ -258,30 +291,33 @@ impl Engine {
                 Ok((result, timeline)) => {
                     tally.wm.add("sim_us", spec.duration.as_micros());
                     tally.record(&spec, &result);
+                    tally.executed += 1;
                     m_jobs.inc();
                     w_jobs.inc();
-                    Ok(finish(&mut acc, index, &spec, result, &timeline))
+                    finish(&mut acc, index, &spec, result, &timeline).map(Ok)
                 }
                 Err(message) => {
                     m_failed.inc();
                     let failure = JobFailure {
                         index,
-                        key,
+                        key: *key,
                         label: spec.label(),
                         attempts,
                         message,
                     };
                     obs::error!("engine: {failure}");
-                    Err(failure)
+                    Some(Err(failure))
                 }
             };
             let latency_us = started.elapsed().as_secs_f64() * 1e6;
             tally.wm.observe_log("job_latency_us", latency_us);
             h_latency.observe(latency_us);
             drop(job_span);
-            g_results.inc();
-            if tx.send(msg).is_err() {
-                break;
+            if let Some(msg) = msg {
+                g_results.inc();
+                if tx.send(msg).is_err() {
+                    break;
+                }
             }
         }
         heartbeat.idle();
@@ -328,5 +364,75 @@ impl Engine {
             }
         }
         (metrics, profile)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::EngineConfig;
+    use crate::fault::FaultPlan;
+    use crate::job::WorkloadSpec;
+    use workloads::Benchmark;
+
+    /// Runs `n` short jobs on two workers with a `finish` that counts
+    /// each job in its worker's accumulator and sends nothing. Returns
+    /// the values and the failures `drain` was called with, and what
+    /// the pool handed back.
+    fn drain_counts(config: EngineConfig, n: usize) -> (usize, usize, Pooled<u64>) {
+        let engine = Engine::new(config);
+        let faults = FaultInjector::new(engine.config().faults);
+        let jobs = (0..n).map(|i| {
+            let mut spec = JobSpec::new(
+                WorkloadSpec::Benchmark(Benchmark::Web),
+                PolicyDesc::best_from_paper(),
+                1,
+                1000 + i as u64,
+            );
+            spec.duration = sim_core::SimDuration::from_millis(100);
+            (i, spec)
+        });
+        let (mut values, mut failures) = (0, 0);
+        let pooled = engine.pool(
+            2,
+            0,
+            &faults,
+            jobs,
+            |acc: &mut u64, _, _, _, _| {
+                *acc += 1;
+                None::<()>
+            },
+            |msg| match msg {
+                Some(Ok(())) => values += 1,
+                Some(Err(_)) => failures += 1,
+                None => {}
+            },
+        );
+        (values, failures, pooled)
+    }
+
+    #[test]
+    fn a_healthy_stream_drains_nothing() {
+        let (values, failures, pooled) = drain_counts(EngineConfig::hermetic(), 16);
+        assert_eq!((values, failures), (0, 0));
+        assert_eq!(pooled.tally.executed, 16);
+        assert_eq!(pooled.accs.iter().sum::<u64>(), 16);
+    }
+
+    #[test]
+    fn every_failure_is_drained() {
+        let config = EngineConfig {
+            max_retries: 0,
+            faults: Some(FaultPlan {
+                panic: 1.0,
+                max_panics: u32::MAX,
+                ..FaultPlan::default()
+            }),
+            ..EngineConfig::hermetic()
+        };
+        let (values, failures, pooled) = drain_counts(config, 16);
+        assert_eq!((values, failures), (0, 16));
+        assert_eq!(pooled.tally.executed, 0);
+        assert_eq!(pooled.accs.iter().sum::<u64>(), 0);
     }
 }

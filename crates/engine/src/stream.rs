@@ -5,8 +5,12 @@
 //! populations of millions of devices. [`Engine::run_stream`] is the
 //! other regime: the worker pool pulls specs from a lazy iterator, and
 //! results are folded into a per-worker accumulator the moment they
-//! exist, then discarded; only a completion tick crosses the bounded
-//! channel to the calling thread. Peak memory is
+//! exist, then discarded. A healthy device sends nothing to the calling
+//! thread; only failure reports cross the bounded channel. The calling
+//! thread wakes every [`PROGRESS_INTERVAL`] to print progress from a
+//! shared completion count, and the final `executed` count comes from
+//! the surviving workers' tallies, so it always matches the merged
+//! accumulator. Peak memory is
 //! `O(workers × channel capacity + accumulator size)` — independent of
 //! how many devices stream through.
 //!
@@ -32,7 +36,9 @@
 //! work exactly as in batch mode, with failed devices counted (and a
 //! bounded sample of reports retained) rather than accumulated.
 
-use std::time::{Duration, Instant};
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use kernel_sim::WindowSample;
 use obs::{RunMetrics, WorkerMetrics};
@@ -40,6 +46,7 @@ use obs::{RunMetrics, WorkerMetrics};
 use crate::engine::{Engine, JobFailure};
 use crate::fault::{FaultInjector, FaultStats};
 use crate::job::{JobResult, JobSpec};
+use crate::pool::PROGRESS_INTERVAL;
 
 /// Failure reports retained verbatim; anything beyond is counted in
 /// [`StreamStats::failed`] but not stored (a fully-failing million-
@@ -51,14 +58,16 @@ const MAX_RETAINED_FAILURES: usize = 32;
 pub struct StreamStats {
     /// Devices the generator produced.
     pub total: u64,
-    /// Devices simulated to completion.
+    /// Devices simulated and folded into a surviving worker's
+    /// accumulator.
     pub executed: u64,
     /// Devices that exhausted their retry budget.
     pub failed: u64,
     /// Worker threads used.
     pub workers: usize,
     /// Worker threads that died outside the catch-unwind fence (engine
-    /// bugs; their in-flight device and local accumulator are lost).
+    /// or fold bugs). Their in-flight device and local accumulator are
+    /// lost, and their devices are not counted in `executed`.
     pub dead_workers: usize,
     /// Wall-clock time for the whole stream, µs.
     pub elapsed_us: u64,
@@ -106,7 +115,7 @@ impl Engine {
     /// folds one worker's accumulator into another. Both must be
     /// order-independent for deterministic output (module docs). The
     /// spec iterator is pulled lazily by whichever worker is free, and
-    /// workers block while the bounded completion channel is full: the
+    /// workers block while the bounded failure channel is full: the
     /// stream never materializes.
     pub fn run_stream<I, A, F, M>(
         &self,
@@ -131,31 +140,35 @@ impl Engine {
             "Failure reports dropped by bounded retention (still counted as failed).",
         );
 
-        let (mut executed, mut failed, mut failures_dropped) = (0u64, 0u64, 0u64);
+        let (mut failed, mut failures_dropped) = (0u64, 0u64);
         let mut failures = Vec::new();
+        // Healthy devices reach the calling thread only through this
+        // count, which feeds the progress line and nothing else.
+        let folded = AtomicU64::new(0);
         let mut last_report = Instant::now();
         let pooled = self.pool(
             workers,
             self.config().timeline_windows,
             &faults,
             specs.into_iter().enumerate(),
-            |acc: &mut A, i, spec, result, timeline| fold(acc, i as u64, spec, &result, timeline),
-            |tick| {
-                match tick {
-                    Ok(()) => executed += 1,
-                    Err(failure) => {
-                        failed += 1;
-                        if failures.len() < MAX_RETAINED_FAILURES {
-                            failures.push(failure);
-                        } else {
-                            failures_dropped += 1;
-                            m_dropped.inc();
-                        }
+            |acc: &mut A, i, spec, result, timeline| {
+                fold(acc, i as u64, spec, &result, timeline);
+                folded.fetch_add(1, Ordering::Relaxed);
+                None::<Infallible>
+            },
+            |msg| {
+                if let Some(Err(failure)) = msg {
+                    failed += 1;
+                    if failures.len() < MAX_RETAINED_FAILURES {
+                        failures.push(failure);
+                    } else {
+                        failures_dropped += 1;
+                        m_dropped.inc();
                     }
                 }
-                if progress && last_report.elapsed() >= Duration::from_millis(500) {
+                if progress && last_report.elapsed() >= PROGRESS_INTERVAL {
                     last_report = Instant::now();
-                    let done = executed + failed;
+                    let done = folded.load(Ordering::Relaxed) + failed;
                     let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
                     obs::info!("[{batch}] {done} devices streamed — {rate:.0} devices/s");
                 }
@@ -168,7 +181,9 @@ impl Engine {
 
         let stats = StreamStats {
             total: pooled.pulled as u64,
-            executed,
+            // Counted where the fold happened, so a dead worker's
+            // devices leave the count along with its shard.
+            executed: pooled.tally.executed,
             failed,
             workers,
             dead_workers: pooled.dead,
@@ -217,6 +232,7 @@ mod tests {
     use crate::job::WorkloadSpec;
     use policies::{Hysteresis, PolicyDesc, PredictorDesc, SpeedChange, VoltageRule};
     use sim_core::FleetSummary;
+    use std::time::Duration;
     use workloads::Benchmark;
 
     /// A lazy stream of `n` distinct half-second jobs.
@@ -233,15 +249,18 @@ mod tests {
         })
     }
 
+    /// The test fold: two metrics and a device count.
+    fn fold_device(acc: &mut FleetSummary, r: &JobResult) {
+        acc.record("energy_j", r.energy_j);
+        acc.record("misses", r.misses as f64);
+        acc.bump_devices();
+    }
+
     fn summarize(config: EngineConfig, n: u64) -> StreamOutcome<FleetSummary> {
         Engine::new(config).run_stream(
             "stream-test",
             spec_stream(n),
-            |acc: &mut FleetSummary, _i, _spec, r, _tl| {
-                acc.record("energy_j", r.energy_j);
-                acc.record("misses", r.misses as f64);
-                acc.bump_devices();
-            },
+            |acc: &mut FleetSummary, _i, _spec, r, _tl| fold_device(acc, r),
             |into, from| into.merge(&from),
         )
     }
@@ -327,6 +346,68 @@ mod tests {
             50 - MAX_RETAINED_FAILURES as u64
         );
         assert!(out.metrics.to_json().contains("\"failures_dropped\": 18,"));
+    }
+
+    #[test]
+    fn a_dead_worker_takes_its_devices_out_of_every_count() {
+        // A fold that panics kills its worker outside the retry fence,
+        // and the worker's shard dies with it. Every count must agree
+        // with the accumulator that survived.
+        let out = Engine::new(EngineConfig {
+            jobs: 2,
+            ..EngineConfig::hermetic()
+        })
+        .run_stream(
+            "dead-worker-test",
+            spec_stream(40),
+            |acc: &mut FleetSummary, i, _spec, r, _tl| {
+                assert_ne!(i, 30, "fold bug on device 30");
+                fold_device(acc, r);
+            },
+            |into, from| into.merge(&from),
+        );
+        assert_eq!(out.stats.dead_workers, 1);
+        assert_eq!(out.stats.failed, 0);
+        assert_eq!(out.stats.executed, out.acc.devices());
+        assert_eq!(out.metrics.executed, out.stats.executed);
+        let cells: u64 = out.metrics.per_policy.iter().map(|p| p.cells).sum();
+        assert_eq!(cells, out.stats.executed, "{:?}", out.metrics.per_policy);
+    }
+
+    #[test]
+    fn progress_lines_survive_a_stream_that_sends_nothing() {
+        // One worker stalling 150 ms per device keeps a healthy stream,
+        // which sends nothing to the calling thread, running for several
+        // progress intervals.
+        let engine = Engine::new(EngineConfig {
+            progress: true,
+            faults: Some(FaultPlan {
+                stall: 1.0,
+                stall_ms: 150,
+                ..FaultPlan::default()
+            }),
+            ..EngineConfig::hermetic()
+        });
+        obs::logger::capture_begin();
+        let out = engine.run_stream(
+            "progress-test",
+            spec_stream(8),
+            |acc: &mut FleetSummary, _i, _spec, r, _tl| fold_device(acc, r),
+            |into, from| into.merge(&from),
+        );
+        let lines: Vec<String> = obs::logger::capture_end()
+            .into_iter()
+            .filter(|line| line.contains("[progress-test]"))
+            .collect();
+        assert_eq!(out.stats.executed, 8);
+        assert!(
+            lines.iter().any(|l| l.contains("devices streamed")),
+            "{lines:?}"
+        );
+        assert!(
+            lines.iter().any(|l| l.contains("stream done: 8 devices")),
+            "{lines:?}"
+        );
     }
 
     #[test]
