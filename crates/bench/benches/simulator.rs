@@ -8,27 +8,8 @@ use daq::Daq;
 use itsy_hw::{ClockTable, MemoryTiming, Work};
 use kernel_sim::{Kernel, KernelConfig, Machine};
 use policies::{AvgN, Predictor};
-use sim_core::{EventQueue, Rng, SimDuration, SimTime, TimeSeries};
+use sim_core::{Rng, SimDuration, SimTime, TimeSeries};
 use workloads::Benchmark;
-
-fn bench_event_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("simulator");
-    g.throughput(Throughput::Elements(10_000));
-    g.bench_function("event_queue_10k_schedule_pop", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..10_000u64 {
-                q.schedule(SimTime::from_micros((i * 7919) % 100_000 + 100_000), i);
-            }
-            let mut sum = 0u64;
-            while let Some(e) = q.pop() {
-                sum = sum.wrapping_add(e.event);
-            }
-            black_box(sum)
-        })
-    });
-    g.finish();
-}
 
 fn bench_rng(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
@@ -131,7 +112,6 @@ fn bench_fft(c: &mut Criterion) {
 
 criterion_group!(
     simulator,
-    bench_event_queue,
     bench_rng,
     bench_work_execution,
     bench_kernel_throughput,

@@ -304,10 +304,11 @@ impl JobSpec {
         })
     }
 
-    /// Runs the simulation on the tick-by-tick *reference* kernel loop
-    /// instead of the batched fast path. The differential suite holds
-    /// this result byte-identical to [`JobSpec::execute`]; experiment
-    /// code never calls it.
+    /// Runs the simulation on the tick-by-tick *reference* kernel loop.
+    /// Full fidelity always runs that loop, so there this equals
+    /// [`JobSpec::execute`] byte for byte. At Summary fidelity it is the
+    /// oracle the differential suite holds the uniform-span loop to.
+    /// Experiment code never calls it.
     pub fn execute_reference(&self) -> JobResult {
         self.simulate(false, true, 0, &mut SimScratch::new()).0
     }

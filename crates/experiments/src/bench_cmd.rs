@@ -13,10 +13,10 @@
 //!   histogram gives cache-probe latency percentiles;
 //! - **hot loop** — one MPEG cell under the paper's best policy run
 //!   back-to-back on the calling thread: simulator-core throughput
-//!   with no engine around it. Timed three ways (batched full
-//!   fidelity, tick-by-tick reference, and summary fidelity), each as
-//!   the median of [`BenchConfig::hot_rounds`] timed rounds so one
-//!   scheduler hiccup cannot sink the measured speedups;
+//!   with no engine around it. Timed two ways (full fidelity, which
+//!   runs the tick-by-tick loop, and summary fidelity), each as the
+//!   median of [`BenchConfig::hot_rounds`] timed rounds so one
+//!   scheduler hiccup cannot sink the measured speedup;
 //! - **trace export** — the `avgn` scenario's structured-event
 //!   export, rated in events per second;
 //! - **fleet stream** — a seeded device population pushed through
@@ -27,9 +27,8 @@
 //!   trace recording, YDS critical intervals, and the online canon,
 //!   rated in result rows per second.
 //!
-//! The report's flat `"gate"` object holds the throughput numbers
-//! plus the batched-vs-reference speedup (so a baseline can pin the
-//! fast path at >= 1.0x, i.e. never slower than the oracle loop). `repro bench --baseline <file>` re-reads a previous
+//! The report's flat `"gate"` object holds the throughput numbers.
+//! `repro bench --baseline <file>` re-reads a previous
 //! report's gate and fails (exit code 1) when any metric regresses
 //! more than `--bench-tolerance` percent — wall-clock throughput is
 //! machine-dependent, so baselines only travel within one machine
@@ -68,8 +67,8 @@ pub struct BenchConfig {
     pub hot_secs: u64,
     /// Timed rounds per hot-loop variant; the *median* round is
     /// reported. One round of a few milliseconds is inside scheduler
-    /// noise — medians of several rounds keep `speedup_vs_reference`
-    /// from dipping below 1.0 on a preempted round.
+    /// noise — medians of several rounds keep a preempted round from
+    /// moving the throughputs and `summary_speedup_vs_reference`.
     pub hot_rounds: u32,
     /// Warm-sweep repetitions per profiler state (minimum wall time
     /// is reported, the usual noise floor for micro wall clocks).
@@ -210,11 +209,11 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
     let hit_p = |q: f64| hit_hist.and_then(|h| h.percentile(q)).unwrap_or(0.0);
 
     // Phase 3: hot loop — the simulator core alone, single thread.
-    // Timed three ways, each as a median of `hot_rounds` rounds: the
-    // batched full-fidelity kernel (the production path, gated), the
-    // tick-by-tick reference oracle, and the summary-fidelity span
-    // skipper the fleet runs on. The report carries both speedups
-    // against the reference alongside the raw throughputs.
+    // Timed two ways, each as a median of `hot_rounds` rounds: full
+    // fidelity, which runs the tick-by-tick reference loop, and the
+    // summary-fidelity span skipper the fleet runs on. The report
+    // carries the summary speedup over the tick loop alongside both
+    // raw throughputs.
     let hot_spec = JobSpec::new(
         WorkloadSpec::Benchmark(Benchmark::Mpeg),
         PolicyDesc::best_from_paper(),
@@ -226,23 +225,15 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
     let hot_us = median_round_us(hot_rounds, cfg.hot_iters, || {
         std::hint::black_box(hot_spec.execute());
     });
-    let ref_iters = (cfg.hot_iters / 4).max(1);
-    let ref_us = median_round_us(hot_rounds, ref_iters, || {
-        std::hint::black_box(hot_spec.execute_reference());
-    });
     let summary_us = median_round_us(hot_rounds, cfg.hot_iters, || {
         std::hint::black_box(summary_spec.execute());
     });
-    let per_iter = |wall_us: u64, iters: u32| wall_us as f64 / iters.max(1) as f64;
-    let speedup_vs = |wall_us: u64, iters: u32| {
-        if wall_us > 0 {
-            per_iter(ref_us, ref_iters) / per_iter(wall_us, iters)
-        } else {
-            0.0
-        }
+    // Both variants ran `hot_iters` sims per round.
+    let summary_speedup = if summary_us > 0 {
+        hot_us as f64 / summary_us as f64
+    } else {
+        0.0
     };
-    let hot_speedup = speedup_vs(hot_us, cfg.hot_iters);
-    let summary_speedup = speedup_vs(summary_us, cfg.hot_iters);
 
     // Phase 4: trace export.
     let trace_started = Instant::now();
@@ -286,7 +277,6 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
             "summary_sims_per_sec",
             rate_per_sec(cfg.hot_iters as u64, summary_us),
         ),
-        ("speedup_vs_reference", hot_speedup),
         (
             "trace_events_per_sec",
             rate_per_sec(trace.events as u64, trace_us),
@@ -396,14 +386,6 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
     let _ = writeln!(json, "    \"sim_secs\": {},", cfg.hot_secs);
     let _ = writeln!(json, "    \"rounds\": {hot_rounds},");
     let _ = writeln!(json, "    \"wall_us\": {hot_us},");
-    let _ = writeln!(json, "    \"reference_iters\": {ref_iters},");
-    let _ = writeln!(json, "    \"reference_wall_us\": {ref_us},");
-    let _ = writeln!(
-        json,
-        "    \"reference_sims_per_sec\": {:.6},",
-        rate_per_sec(ref_iters as u64, ref_us)
-    );
-    let _ = writeln!(json, "    \"speedup_vs_reference\": {hot_speedup:.6},");
     let _ = writeln!(json, "    \"summary_wall_us\": {summary_us},");
     let _ = writeln!(
         json,
@@ -483,12 +465,12 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
     );
     let _ = writeln!(
         summary,
-        "hot  : {} x {} s MPEG sims -> {:.2} sims/s ({:.2}x vs reference kernel, median of {} rounds)",
-        cfg.hot_iters, cfg.hot_secs, gate["hot_sims_per_sec"], hot_speedup, hot_rounds,
+        "hot  : {} x {} s MPEG sims -> {:.2} sims/s (full fidelity, tick loop, median of {} rounds)",
+        cfg.hot_iters, cfg.hot_secs, gate["hot_sims_per_sec"], hot_rounds,
     );
     let _ = writeln!(
         summary,
-        "summ : {} x {} s MPEG sims -> {:.2} sims/s ({:.2}x vs reference kernel)",
+        "summ : {} x {} s MPEG sims -> {:.2} sims/s ({:.2}x vs the full-fidelity tick loop)",
         cfg.hot_iters, cfg.hot_secs, gate["summary_sims_per_sec"], summary_speedup,
     );
     let _ = writeln!(
@@ -652,17 +634,14 @@ mod tests {
             "\"gate\"",
             "\"profiler_overhead_pct\"",
             "\"stages\"",
-            "\"reference_sims_per_sec\"",
-            "\"speedup_vs_reference\"",
             "\"summary_sims_per_sec\"",
             "\"summary_speedup_vs_reference\"",
             "\"fidelity\": \"summary\"",
         ] {
             assert!(report.json.contains(section), "missing {section}");
         }
-        assert_eq!(report.gate.len(), 8);
+        assert_eq!(report.gate.len(), 7);
         assert!(report.gate.contains_key("summary_sims_per_sec"));
-        assert!(report.gate.contains_key("speedup_vs_reference"));
         for (metric, &value) in &report.gate {
             assert!(value > 0.0, "{metric} = {value}");
         }

@@ -13,7 +13,7 @@ use sim_core::{Power, SimDuration, SimFidelity, SimTime, TimeSeries};
 
 use itsy_hw::clock::V_HIGH;
 use itsy_hw::{CorePowerCache, CpuMode, RunTotals, SpanEnergy, StepIndex, Work};
-use policies::ClockPolicy;
+use policies::{ClockPolicy, PolicyRequest};
 
 use crate::log::{DeadlineLog, SchedLog};
 use crate::machine::Machine;
@@ -55,12 +55,14 @@ pub struct KernelConfig {
     /// limit); `None` keeps everything. Ignored when `log_sched` is
     /// off — a disabled log drops nothing.
     pub sched_log_capacity: Option<usize>,
-    /// Run the original tick-by-tick loop instead of the batched
-    /// uniform-span fast path. The two are bit-identical (the
-    /// differential suite proves it); the reference loop exists as the
-    /// oracle for that proof and for debugging. Tracing implies the
-    /// reference path regardless of this flag: per-tick events make
-    /// every tick observable, so there is nothing to batch.
+    /// At [`SimFidelity::Summary`], run the tick-by-tick loop instead of
+    /// the uniform-span fast path. The two agree on every integer
+    /// observable and on energy within 1e-12 relative (the differential
+    /// suite proves it); the reference loop exists as the oracle for
+    /// that proof and for debugging. Full fidelity always runs the tick
+    /// loop, so there the flag changes nothing. Tracing implies the tick
+    /// loop regardless of this flag: per-tick events make every tick
+    /// observable, so there is nothing to batch.
     pub reference: bool,
     /// What the run must materialize. [`SimFidelity::Full`] (the
     /// default) records per-tick series, the scheduler log and the
@@ -230,9 +232,9 @@ impl SimScratch {
     }
 }
 
-/// The run loop's mutable state, shared by the batched fast path and
-/// the reference tick-by-tick path so both execute the exact same
-/// accounting code where they overlap.
+/// The run loop's mutable state, shared by the tick-by-tick loop and the
+/// Summary uniform-span path so both execute the exact same accounting
+/// code where they overlap.
 struct LoopState {
     now: SimTime,
     next_tick: SimTime,
@@ -276,10 +278,9 @@ struct LoopState {
     timeline: Option<TimelineAcc>,
 }
 
-/// A provably-uniform stretch of whole quanta the batched kernel can
-/// execute in a flat loop: machine state, the running task and the
-/// per-tick utilization are all constant until the span's bounding
-/// event.
+/// A provably-uniform stretch of whole quanta a Summary run commits in
+/// closed form: machine state, the running task and the per-tick
+/// utilization are all constant until the span's bounding event.
 enum SpanKind {
     /// No runnable task; the core naps.
     Idle,
@@ -484,10 +485,11 @@ impl Kernel {
         }
         self.pick_current(ls.now);
 
-        // Tracing forces the reference path: per-tick policy and
-        // quantum events make every tick observable, so no span is
-        // uniform.
-        let batched = !self.config.reference && !self.config.trace;
+        // Full fidelity runs the tick loop alone; only a Summary run
+        // skips uniform spans. Tracing forces the tick loop too:
+        // per-tick policy and quantum events make every tick
+        // observable, so no span is uniform.
+        let batched = ls.summary && !self.config.reference && !self.config.trace;
         while ls.now < ls.end {
             self.resolve_actions(&mut ls);
             if batched && self.run_uniform_span(&mut ls) {
@@ -543,13 +545,16 @@ impl Kernel {
         }
     }
 
-    /// One iteration of the reference loop: a single segment plus, when
-    /// the segment ends on a tick, the timer-tick work. Returns `true`
-    /// when an attached battery emptied and the run must stop.
+    /// One iteration of the tick loop: a single segment plus, when the
+    /// segment ends on a tick, the timer-tick work. Returns `true` when
+    /// an attached battery emptied and the run must stop.
     ///
-    /// This is the oracle the batched path is proven against — every
-    /// non-uniform moment of a batched run also flows through here, so
-    /// the two paths cannot drift in shared territory.
+    /// Full fidelity runs every quantum through here, like the paper's
+    /// kernel running its scheduler and policy on every 10 ms tick. At
+    /// Summary fidelity this is the oracle the uniform-span path is
+    /// proven against, and every non-uniform moment of a span-skipping
+    /// run also flows through here, so the two cannot drift in shared
+    /// territory.
     fn step_segment(&mut self, ls: &mut LoopState) -> bool {
         let now = ls.now;
         let quantum = ls.quantum;
@@ -704,35 +709,11 @@ impl Kernel {
             }
 
             // The clock-scaling policy module runs from the timer
-            // interrupt. A summary run honours the policy's observation
-            // stride: ticks whose global index is off-stride are not
-            // delivered (the policy asserted it does not consume them).
-            let deliver = !ls.summary
-                || self.policy.as_ref().is_none_or(|p| {
-                    let stride = p.observation_stride().max(1);
-                    stride == 1 || (now.as_micros() / quantum.as_micros()).is_multiple_of(stride)
-                });
-            if !deliver {
-                // Skipped delivery: the machine state is untouched.
-            } else if let Some(policy) = self.policy.as_mut() {
+            // interrupt.
+            if let Some(policy) = self.policy.as_mut() {
                 let cur = self.machine.cpu.step();
                 let req = policy.on_interval_traced(now, util, cur, &mut self.trace);
-                let target_step = req.step.unwrap_or(cur);
-                let target_v = req.voltage.unwrap_or(self.machine.cpu.voltage());
-                let now_us = now.as_micros();
-                let Machine { cpu, power, .. } = &mut self.machine;
-                let params = &power.params;
-                let transition = cpu
-                    .request_traced(target_step, target_v, params, now_us, &mut self.trace)
-                    .unwrap_or_else(|_| {
-                        // Electrically unsafe request: the kernel
-                        // clamps the voltage up and retries.
-                        cpu.request_traced(target_step, V_HIGH, params, now_us, &mut self.trace)
-                            .expect("high voltage is safe at every step")
-                    });
-                if !transition.stall.is_zero() {
-                    ls.stall_until = now + transition.stall;
-                }
+                self.apply_request(req, now, ls);
             }
             if ls.summary {
                 ls.freq_khz_sum += u64::from(self.machine.cpu.freq().as_khz());
@@ -768,11 +749,39 @@ impl Kernel {
         false
     }
 
-    /// The batched fast path: detects a uniform span starting at the
-    /// current (tick-aligned) time and executes it in a flat loop that
-    /// performs exactly the floating-point operations the reference
-    /// path would — in the same order, on the same values — while
-    /// delivering every integer-valued side effect in closed form.
+    /// Applies a policy request at tick `now`. This is the one place a
+    /// [`PolicyRequest`] changes the machine: unset fields keep the
+    /// current step or voltage, an electrically unsafe voltage is
+    /// clamped up to `V_HIGH` and retried, and a clock change stalls the
+    /// core from `now`. Returns `false`, touching nothing, when the
+    /// machine already holds the requested state.
+    fn apply_request(&mut self, req: PolicyRequest, now: SimTime, ls: &mut LoopState) -> bool {
+        let (step, voltage) = (self.machine.cpu.step(), self.machine.cpu.voltage());
+        let target_step = req.step.unwrap_or(step);
+        let target_v = req.voltage.unwrap_or(voltage);
+        if target_step == step && target_v == voltage {
+            return false;
+        }
+        let now_us = now.as_micros();
+        let Machine { cpu, power, .. } = &mut self.machine;
+        let params = &power.params;
+        let transition = cpu
+            .request_traced(target_step, target_v, params, now_us, &mut self.trace)
+            .unwrap_or_else(|_| {
+                cpu.request_traced(target_step, V_HIGH, params, now_us, &mut self.trace)
+                    .expect("high voltage is safe at every step")
+            });
+        if !transition.stall.is_zero() {
+            ls.stall_until = now + transition.stall;
+        }
+        true
+    }
+
+    /// The Summary fast path: detects a uniform span starting at the
+    /// current (tick-aligned) time and commits it in closed form. It
+    /// delivers the span's time accounting, per-task CPU, preemption
+    /// counter and frequency samples exactly as the tick loop would,
+    /// and its energy as one compensated term per span.
     ///
     /// Returns `true` if it consumed at least one whole quantum (the
     /// caller re-enters the loop), `false` to fall back to
@@ -787,10 +796,11 @@ impl Kernel {
     /// - no sleeper wakes, the spin does not expire, the work does not
     ///   complete, and the run does not end before the span's last
     ///   tick (each limit is computed exactly below);
-    /// - the policy keeps requesting machine no-ops (checked per tick;
-    ///   a request that changes the machine ends the span *after* its
-    ///   tick completes, exactly like the reference path).
+    /// - the policy keeps requesting machine no-ops (a request that
+    ///   changes the machine ends the span *after* its tick completes,
+    ///   exactly like the tick loop).
     fn run_uniform_span(&mut self, ls: &mut LoopState) -> bool {
+        debug_assert!(ls.summary, "Full fidelity runs the tick loop only");
         if ls.stall_until > ls.now || ls.now + ls.quantum != ls.next_tick {
             return false;
         }
@@ -814,7 +824,7 @@ impl Kernel {
         let mut max = ls.end.duration_since(ls.now).as_micros() / q_us;
         // A sleeper waking at tick `j` changes the runqueue during that
         // tick's processing, so the span may cover at most `j - 1`
-        // quanta; the wake tick itself runs on the reference path.
+        // quanta; the wake tick itself runs on the tick loop.
         for t in &self.tasks {
             if let Status::Sleeping(until) = t.status {
                 let wake_tick = if until.as_micros() <= start_us {
@@ -840,21 +850,14 @@ impl Kernel {
         let step = self.machine.cpu.step();
         let freq = self.machine.cpu.freq();
         let khz = freq.as_khz();
-        let mhz = freq.as_mhz_f64();
-        let voltage = self.machine.cpu.voltage();
         let (mode, util) = match kind {
             SpanKind::Idle => (CpuMode::Nap, 0.0),
             SpanKind::Work(..) | SpanKind::Spin(..) => (CpuMode::Run, 1.0),
         };
-        let core_p = ls.power_cache.get(&self.machine.power, mode, freq, voltage);
+        let core_p =
+            ls.power_cache
+                .get(&self.machine.power, mode, freq, self.machine.cpu.voltage());
         let p = core_p + ls.peripheral;
-        let p_w = p.as_watts();
-        // Same multiply the reference performs per segment; computing
-        // it once and adding it `n` times gives the same bits as
-        // computing it `n` times.
-        let e_q = p.over(ls.quantum);
-        let ce_q = core_p.over(ls.quantum);
-        let wf_denom = ls.full_speed_khz as f64 * q_us as f64 / 1_000.0;
         let force = self.config.force_schedule_every_tick;
         let default_counter = self.config.default_counter.max(1);
         let has_battery = self.machine.battery.is_some();
@@ -868,306 +871,80 @@ impl Kernel {
             .is_none_or(|policy| policy.is_memoryless());
         let mut policy_settled = false;
 
-        if ls.summary {
-            // ---- Summary fidelity: commit the span in closed form ----
-            //
-            // Nothing per-tick is emitted, so a quantum only needs real
-            // execution when something genuinely per-tick remains:
-            // order-dependent `Work` remainders, battery smoothing
-            // state, or a policy that must observe each tick. Pure
-            // idle/spin spans with an absent or settled memoryless
-            // policy cost O(1) regardless of length.
-            let stride = self
-                .policy
-                .as_ref()
-                .map_or(1, |p| p.observation_stride().max(1));
-            let mut w_left = match kind {
-                SpanKind::Work(_, w) => w,
-                _ => Work::ZERO,
-            };
-            let mut executed: u64 = 0; // quanta fully accounted
-            let mut span_over = false; // policy changed the machine
-            let mut energy_quanta: u64 = 0; // quanta owing energy
-            let needs_tick_loop = matches!(kind, SpanKind::Work(..))
-                || has_battery
-                || (self.policy.is_some() && !elide_policy);
-            if needs_tick_loop {
-                while executed < max && !span_over {
-                    let t_k = SimTime::from_micros(start_us + (executed + 1) * q_us);
-                    if let SpanKind::Work(..) = kind {
-                        match w_left.execute_for(ls.quantum, step, freq, &self.machine.mem) {
-                            itsy_hw::WorkProgress::Completed(_) => break, // reference finishes it
-                            itsy_hw::WorkProgress::Remaining(rest) => w_left = rest,
-                        }
-                    }
-                    energy_quanta += 1;
-                    if has_battery {
-                        let batt = self.machine.battery.as_mut().expect("checked above");
-                        batt.drain(p, ls.quantum);
-                        if self.config.stop_when_battery_empty && batt.is_empty() {
-                            // Same cut as the reference: the emptying
-                            // quantum draws energy but adds no time.
-                            ls.now = t_k;
-                            ls.stopped = true;
-                            break;
-                        }
-                    }
-                    executed += 1;
-                    if let Some(policy) = self.policy.as_mut() {
-                        if !(policy_settled && elide_policy)
-                            && (stride == 1 || (t_k.as_micros() / q_us).is_multiple_of(stride))
-                        {
-                            let req = policy.on_interval(t_k, util, step);
-                            let noop = req.step.is_none_or(|s| s == step)
-                                && req.voltage.is_none_or(|v| v == voltage);
-                            if noop {
-                                policy_settled = true;
-                            } else {
-                                let target_step = req.step.unwrap_or(step);
-                                let target_v = req.voltage.unwrap_or(voltage);
-                                let Machine { cpu, power, .. } = &mut self.machine;
-                                let params = &power.params;
-                                let transition = cpu
-                                    .request(target_step, target_v, params)
-                                    .unwrap_or_else(|_| {
-                                        cpu.request(target_step, V_HIGH, params)
-                                            .expect("high voltage is safe at every step")
-                                    });
-                                if !transition.stall.is_zero() {
-                                    ls.stall_until = t_k + transition.stall;
-                                }
-                                span_over = true;
-                            }
-                        }
-                    }
-                }
-            } else {
-                // O(1) path: probe the (memoryless) policy once — its
-                // answer to one uniform tick is its answer to all of
-                // them — then commit every remaining quantum at once.
-                if let Some(policy) = self.policy.as_mut() {
-                    let t_1 = SimTime::from_micros(start_us + q_us);
-                    let req = policy.on_interval(t_1, util, step);
-                    let noop = req.step.is_none_or(|s| s == step)
-                        && req.voltage.is_none_or(|v| v == voltage);
-                    if !noop {
-                        let target_step = req.step.unwrap_or(step);
-                        let target_v = req.voltage.unwrap_or(voltage);
-                        let Machine { cpu, power, .. } = &mut self.machine;
-                        let params = &power.params;
-                        let transition =
-                            cpu.request(target_step, target_v, params)
-                                .unwrap_or_else(|_| {
-                                    cpu.request(target_step, V_HIGH, params)
-                                        .expect("high voltage is safe at every step")
-                                });
-                        if !transition.stall.is_zero() {
-                            ls.stall_until = t_1 + transition.stall;
-                        }
-                        span_over = true;
-                        executed = 1;
-                    }
-                }
-                if !span_over {
-                    executed = max;
-                }
-                energy_quanta = executed;
-            }
-
-            if executed == 0 && !ls.stopped {
-                return false;
-            }
-
-            // Closed-form commit: one compensated energy term for the
-            // whole span (exact for constant power), exact integer
-            // accounting for everything else.
-            let span_total = SimDuration::from_micros(executed * q_us);
-            ls.span_energy
-                .add(p, core_p, SimDuration::from_micros(energy_quanta * q_us));
-            if let Some(tl) = ls.timeline.as_mut() {
-                // `energy_quanta` quanta drew power (an emptying
-                // battery's final quantum draws energy but adds no
-                // time); `executed` quanta were busy for Work/Spin.
-                tl.energy(start_us, start_us + energy_quanta * q_us, p_w);
-                if !matches!(kind, SpanKind::Idle) {
-                    tl.busy(start_us, start_us + executed * q_us);
-                }
-            }
-            if !ls.stopped {
-                ls.now = SimTime::from_micros(start_us + executed * q_us);
-            }
-            ls.next_tick = ls.now + ls.quantum;
-            ls.ticks += executed;
-            // Frequency samples: every tick saw the span clock, except
-            // that a span-ending decision leaves its own tick sampled
-            // at the new clock (the reference samples post-decision).
-            let khz64 = u64::from(khz);
-            ls.freq_khz_sum += executed * khz64;
-            if span_over {
-                ls.freq_khz_sum -= khz64;
-                ls.freq_khz_sum += u64::from(self.machine.cpu.freq().as_khz());
-            }
-            match kind {
-                SpanKind::Idle => ls.totals.idle += span_total,
-                SpanKind::Work(pid, _) => {
-                    ls.totals.busy += span_total;
-                    ls.util_sum_us += executed * q_us;
-                    let t = &mut self.tasks[(pid - 1) as usize];
-                    t.cpu_time += span_total;
-                    t.run = RunState::Work(w_left);
-                }
-                SpanKind::Spin(pid, _) => {
-                    ls.totals.busy += span_total;
-                    ls.totals.spun += span_total;
-                    ls.util_sum_us += executed * q_us;
-                    self.tasks[(pid - 1) as usize].cpu_time += span_total;
-                }
-            }
-            // Preemption counter in closed form: forced scheduling
-            // resets it every tick; otherwise it decrements per tick
-            // and wraps through `default_counter` on expiry.
-            if executed > 0 {
-                if let SpanKind::Work(pid, _) | SpanKind::Spin(pid, _) = kind {
-                    let t = &mut self.tasks[(pid - 1) as usize];
-                    t.counter = if force {
-                        default_counter
-                    } else {
-                        let c0 = u64::from(t.counter.max(1));
-                        let dc = u64::from(default_counter);
-                        if executed < c0 {
-                            (c0 - executed) as u32
-                        } else {
-                            let r = (executed - c0) % dc;
-                            if r == 0 {
-                                default_counter
-                            } else {
-                                (dc - r) as u32
-                            }
-                        }
-                    };
-                }
-            }
-            return true;
-        }
-
-        // Power-trace sample at the span head, exactly where the
-        // reference samples its first segment.
-        if self.config.record_power && ls.last_power != Some(p_w) {
-            ls.power_w.push(ls.now, p_w);
-            ls.last_power = Some(p_w);
-        }
-
+        // Nothing per-tick is emitted, so a quantum only needs real
+        // execution when something genuinely per-tick remains:
+        // order-dependent `Work` remainders, battery smoothing state, or
+        // a policy that must observe each tick. Pure idle/spin spans
+        // with an absent or settled memoryless policy cost O(1)
+        // regardless of length.
         let mut w_left = match kind {
             SpanKind::Work(_, w) => w,
             _ => Work::ZERO,
         };
         let mut executed: u64 = 0; // quanta fully accounted
         let mut span_over = false; // policy changed the machine
-        while executed < max && !span_over {
-            let t_k = SimTime::from_micros(start_us + (executed + 1) * q_us);
-
-            // -- the quantum's single segment --
-            let mut wf = 0.0;
-            if let SpanKind::Work(..) = kind {
-                match w_left.execute_for(ls.quantum, step, freq, &self.machine.mem) {
-                    itsy_hw::WorkProgress::Completed(_) => break, // reference path finishes it
-                    itsy_hw::WorkProgress::Remaining(rest) => {
-                        let done = w_left.plus(rest.scaled(-1.0));
-                        w_left = rest;
-                        wf = (done.total_cycles(ls.fastest, &self.machine.mem) / wf_denom)
-                            .clamp(0.0, 1.0);
+        let mut energy_quanta: u64 = 0; // quanta owing energy
+        let needs_tick_loop = matches!(kind, SpanKind::Work(..))
+            || has_battery
+            || (self.policy.is_some() && !elide_policy);
+        if needs_tick_loop {
+            while executed < max && !span_over {
+                let t_k = SimTime::from_micros(start_us + (executed + 1) * q_us);
+                if let SpanKind::Work(..) = kind {
+                    match w_left.execute_for(ls.quantum, step, freq, &self.machine.mem) {
+                        itsy_hw::WorkProgress::Completed(_) => break, // tick loop finishes it
+                        itsy_hw::WorkProgress::Remaining(rest) => w_left = rest,
+                    }
+                }
+                energy_quanta += 1;
+                if has_battery {
+                    let batt = self.machine.battery.as_mut().expect("checked above");
+                    batt.drain(p, ls.quantum);
+                    if self.config.stop_when_battery_empty && batt.is_empty() {
+                        // Same cut as the tick loop: the emptying
+                        // quantum draws energy but adds no time.
+                        ls.now = t_k;
+                        ls.stopped = true;
+                        break;
+                    }
+                }
+                executed += 1;
+                if let Some(policy) = self.policy.as_mut() {
+                    if !(policy_settled && elide_policy) {
+                        let req = policy.on_interval(t_k, util, step);
+                        span_over = self.apply_request(req, t_k, ls);
+                        policy_settled = !span_over;
                     }
                 }
             }
-            ls.totals.energy += e_q;
-            ls.totals.core_energy += ce_q;
-            if has_battery {
-                let batt = self.machine.battery.as_mut().expect("checked above");
-                batt.drain(p, ls.quantum);
-                if self.config.stop_when_battery_empty && batt.is_empty() {
-                    // The reference breaks out before the mode
-                    // accounting and the tick, so this quantum adds
-                    // energy but no busy/idle time.
-                    ls.now = t_k;
-                    ls.stopped = true;
-                    break;
-                }
-            }
-            executed += 1;
-
-            // -- the tick at t_k --
-            ls.utilization.push(t_k, util);
-            ls.work_fraction.push(t_k, wf);
-            // No sleeper can wake before the span's bound.
+        } else {
+            // O(1) path: probe the (memoryless) policy once — its
+            // answer to one uniform tick is its answer to all of them —
+            // then commit every remaining quantum at once.
             if let Some(policy) = self.policy.as_mut() {
-                if !(policy_settled && elide_policy) {
-                    let req = policy.on_interval(t_k, util, step);
-                    let noop = req.step.is_none_or(|s| s == step)
-                        && req.voltage.is_none_or(|v| v == voltage);
-                    if noop {
-                        // Applying a no-op request is free and mutates
-                        // nothing (no transition, no switch counters).
-                        policy_settled = true;
-                    } else {
-                        let target_step = req.step.unwrap_or(step);
-                        let target_v = req.voltage.unwrap_or(voltage);
-                        let Machine { cpu, power, .. } = &mut self.machine;
-                        let params = &power.params;
-                        let transition =
-                            cpu.request(target_step, target_v, params)
-                                .unwrap_or_else(|_| {
-                                    cpu.request(target_step, V_HIGH, params)
-                                        .expect("high voltage is safe at every step")
-                                });
-                        if !transition.stall.is_zero() {
-                            ls.stall_until = t_k + transition.stall;
-                        }
-                        span_over = true;
-                    }
-                }
+                let t_1 = SimTime::from_micros(start_us + q_us);
+                let req = policy.on_interval(t_1, util, step);
+                span_over = self.apply_request(req, t_1, ls);
             }
-            let (cur_khz, cur_mhz) = if span_over {
-                let f = self.machine.cpu.freq();
-                (f.as_khz(), f.as_mhz_f64())
-            } else {
-                (khz, mhz)
-            };
-            ls.freq_mhz.push(t_k, cur_mhz);
-            match kind {
-                SpanKind::Idle => self.sched_log.record(t_k, IDLE_PID, cur_khz),
-                SpanKind::Work(pid, _) | SpanKind::Spin(pid, _) => {
-                    let t = &mut self.tasks[(pid - 1) as usize];
-                    let expired = if force {
-                        true
-                    } else {
-                        t.counter = t.counter.saturating_sub(1);
-                        t.counter == 0
-                    };
-                    if expired {
-                        // The reference pops the task off the runqueue
-                        // and immediately re-picks it: current and the
-                        // (empty) runqueue end up unchanged, leaving
-                        // only the log record and the counter reset.
-                        t.counter = default_counter;
-                        self.sched_log.record(t_k, pid, cur_khz);
-                    }
-                }
-            }
+            executed = if span_over { 1 } else { max };
+            energy_quanta = executed;
         }
 
         if executed == 0 && !ls.stopped {
             return false;
         }
 
-        // Closed-form delivery of the integer accounting the flat loop
-        // skipped: n identical integer adds of `quantum` are exactly
-        // `n * quantum`.
+        // Closed-form commit: one compensated energy term for the whole
+        // span (exact for constant power), exact integer accounting for
+        // everything else.
         let span_total = SimDuration::from_micros(executed * q_us);
+        ls.span_energy
+            .add(p, core_p, SimDuration::from_micros(energy_quanta * q_us));
         if let Some(tl) = ls.timeline.as_mut() {
-            // An emptying battery's final quantum drew energy without
-            // counting as executed; mirror that in the window buckets.
-            let energy_quanta = executed + u64::from(ls.stopped);
-            tl.energy(start_us, start_us + energy_quanta * q_us, p_w);
+            // `energy_quanta` quanta drew power (an emptying battery's
+            // final quantum draws energy but adds no time); `executed`
+            // quanta were busy for Work/Spin.
+            tl.energy(start_us, start_us + energy_quanta * q_us, p.as_watts());
             if !matches!(kind, SpanKind::Idle) {
                 tl.busy(start_us, start_us + executed * q_us);
             }
@@ -1176,10 +953,21 @@ impl Kernel {
             ls.now = SimTime::from_micros(start_us + executed * q_us);
         }
         ls.next_tick = ls.now + ls.quantum;
+        ls.ticks += executed;
+        // Frequency samples: every tick saw the span clock, except that
+        // a span-ending decision leaves its own tick sampled at the new
+        // clock (the tick loop samples post-decision).
+        let khz64 = u64::from(khz);
+        ls.freq_khz_sum += executed * khz64;
+        if span_over {
+            ls.freq_khz_sum -= khz64;
+            ls.freq_khz_sum += u64::from(self.machine.cpu.freq().as_khz());
+        }
         match kind {
             SpanKind::Idle => ls.totals.idle += span_total,
             SpanKind::Work(pid, _) => {
                 ls.totals.busy += span_total;
+                ls.util_sum_us += executed * q_us;
                 let t = &mut self.tasks[(pid - 1) as usize];
                 t.cpu_time += span_total;
                 t.run = RunState::Work(w_left);
@@ -1187,7 +975,32 @@ impl Kernel {
             SpanKind::Spin(pid, _) => {
                 ls.totals.busy += span_total;
                 ls.totals.spun += span_total;
+                ls.util_sum_us += executed * q_us;
                 self.tasks[(pid - 1) as usize].cpu_time += span_total;
+            }
+        }
+        // Preemption counter in closed form: forced scheduling resets it
+        // every tick; otherwise it decrements per tick and wraps through
+        // `default_counter` on expiry.
+        if executed > 0 {
+            if let SpanKind::Work(pid, _) | SpanKind::Spin(pid, _) = kind {
+                let t = &mut self.tasks[(pid - 1) as usize];
+                t.counter = if force {
+                    default_counter
+                } else {
+                    let c0 = u64::from(t.counter.max(1));
+                    let dc = u64::from(default_counter);
+                    if executed < c0 {
+                        (c0 - executed) as u32
+                    } else {
+                        let r = (executed - c0) % dc;
+                        if r == 0 {
+                            default_counter
+                        } else {
+                            (dc - r) as u32
+                        }
+                    }
+                };
             }
         }
         true
@@ -1826,78 +1639,6 @@ mod tests {
     }
 
     #[test]
-    fn observation_stride_decimates_summary_delivery() {
-        // A stride-3 policy counts deliveries; in summary mode only
-        // every third tick (by global index) reaches it.
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        struct Decimated(Arc<AtomicU64>);
-        impl ClockPolicy for Decimated {
-            fn on_interval(&mut self, now: SimTime, _: f64, _: StepIndex) -> PolicyRequest {
-                assert_eq!(
-                    (now.as_micros() / 10_000) % 3,
-                    0,
-                    "summary must deliver only on-stride ticks"
-                );
-                self.0.fetch_add(1, Ordering::Relaxed);
-                PolicyRequest::NONE
-            }
-            fn observation_stride(&self) -> u64 {
-                3
-            }
-            fn name(&self) -> String {
-                "decimated".into()
-            }
-        }
-        // An event-dense workload keeps ticks on the general path, a
-        // steady one exercises the span path; both must decimate.
-        for reference in [false, true] {
-            let calls = Arc::new(AtomicU64::new(0));
-            let mut k = Kernel::new(
-                Machine::itsy(10, DeviceSet::NONE),
-                KernelConfig {
-                    reference,
-                    ..summary_config(1)
-                },
-            );
-            k.spawn(busy_forever());
-            k.install_policy(Box::new(Decimated(calls.clone())));
-            let _ = k.run();
-            // Ticks 3, 6, ..., 99 → 33 deliveries.
-            assert_eq!(calls.load(Ordering::Relaxed), 33, "reference={reference}");
-        }
-    }
-
-    #[test]
-    fn full_fidelity_ignores_observation_stride() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        struct Counting(Arc<AtomicU64>);
-        impl ClockPolicy for Counting {
-            fn on_interval(&mut self, _: SimTime, _: f64, _: StepIndex) -> PolicyRequest {
-                self.0.fetch_add(1, Ordering::Relaxed);
-                PolicyRequest::NONE
-            }
-            fn observation_stride(&self) -> u64 {
-                7
-            }
-            fn name(&self) -> String {
-                "counting".into()
-            }
-        }
-        let calls = Arc::new(AtomicU64::new(0));
-        let mut k = Kernel::new(Machine::itsy(10, DeviceSet::NONE), config(1));
-        k.spawn(busy_forever());
-        k.install_policy(Box::new(Counting(calls.clone())));
-        let _ = k.run();
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            100,
-            "full delivers every tick"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "livelocked")]
     fn zero_work_livelock_is_detected() {
         let mut k = Kernel::new(Machine::itsy(10, DeviceSet::NONE), config(1));
@@ -1979,14 +1720,14 @@ mod tests {
             )));
             k.run().timeline
         };
-        let batched = run(false, SimFidelity::Full);
+        let full = run(false, SimFidelity::Full);
         for (which, other) in [
             ("reference", run(true, SimFidelity::Full)),
             ("summary", run(false, SimFidelity::Summary)),
             ("summary+reference", run(true, SimFidelity::Summary)),
         ] {
-            assert_eq!(batched.len(), other.len());
-            for (a, b) in batched.iter().zip(&other) {
+            assert_eq!(full.len(), other.len());
+            for (a, b) in full.iter().zip(&other) {
                 assert_eq!((a.start_us, a.end_us), (b.start_us, b.end_us), "{which}");
                 assert_eq!(a.busy_us, b.busy_us, "{which} busy @{}", a.start_us);
                 assert!(

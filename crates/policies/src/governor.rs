@@ -116,29 +116,12 @@ pub trait ClockPolicy {
     /// current_step)` and observing the same utilization repeatedly is
     /// idempotent — i.e. calling [`ClockPolicy::on_interval`] N times
     /// with identical arguments is indistinguishable from calling it
-    /// once. The batched kernel uses this to elide repeated identical
-    /// calls across a uniform span; any policy with interval-counting
-    /// or history state must leave this `false` (the safe default).
+    /// once. The kernel's Summary span path uses this to elide repeated
+    /// identical calls across a uniform span; any policy with
+    /// interval-counting or history state must leave this `false` (the
+    /// safe default).
     fn is_memoryless(&self) -> bool {
         false
-    }
-
-    /// Observation decimation factor for summary-fidelity spans.
-    ///
-    /// A policy returning `k > 1` asserts that, across a run of
-    /// consecutive intervals with identical utilization, its decisions
-    /// and internal state depend only on every k-th
-    /// [`ClockPolicy::on_interval`] call — and that it derives any
-    /// sampling phase from the `now` argument, never from an internal
-    /// call counter (summary runs deliver only the ticks whose global
-    /// index is a multiple of `k` inside uniform spans, so a counter
-    /// would slip). The default of `1` means every tick is delivered,
-    /// which is always safe. All shipped policies use 1: PAST, AVG_N
-    /// and the sliding-window predictors fold every interval into their
-    /// state. The hook exists for externally-defined coarse policies
-    /// (e.g. one that re-evaluates once per N quanta by timestamp).
-    fn observation_stride(&self) -> u64 {
-        1
     }
 
     /// Name used in reports.
@@ -452,10 +435,9 @@ mod tests {
 
     #[test]
     fn stride_defaults_to_every_tick() {
-        // Predictor-backed schedulers consume every interval; the
-        // default stride of 1 must hold for both memoryless (PAST) and
-        // stateful (AVG_N) compositions.
-        assert_eq!(best().observation_stride(), 1);
+        // Predictor-backed schedulers consume every interval, so a
+        // stateful (AVG_N) composition must not let the kernel elide
+        // repeated calls.
         let avg = IntervalScheduler::new(
             Box::new(AvgN::new(3)),
             Hysteresis::PERING,
@@ -463,9 +445,7 @@ mod tests {
             SpeedChange::One,
             ClockTable::sa1100(),
         );
-        assert_eq!(avg.observation_stride(), 1);
         assert!(!avg.is_memoryless());
-        assert_eq!(ConstantPolicy::new(5, V_HIGH).observation_stride(), 1);
     }
 
     #[test]

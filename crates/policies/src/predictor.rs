@@ -29,9 +29,9 @@ pub trait Predictor {
     /// utilization twice leaves the predictor in the same state and
     /// returns the same prediction as feeding it once. PAST is the
     /// canonical example (`W_t = U_{t-1}` — no history survives one
-    /// observation). The batched kernel uses this to elide repeated
-    /// identical policy calls inside a uniform span; predictors that
-    /// accumulate history (AVG_N, windows) must leave this `false`.
+    /// observation). The kernel's Summary span path uses this to elide
+    /// repeated identical policy calls inside a uniform span; predictors
+    /// that accumulate history (AVG_N, windows) must leave this `false`.
     fn is_memoryless(&self) -> bool {
         false
     }

@@ -1,11 +1,10 @@
-//! Discrete-event simulation engine and base quantity types.
+//! Discrete-event simulation substrate and base quantity types.
 //!
 //! This crate provides the foundation every other `itsy-dvs` crate builds
 //! on: a microsecond-resolution virtual clock ([`SimTime`]), physical
 //! quantity newtypes ([`Frequency`], [`Voltage`], [`Energy`], [`Power`]),
-//! a deterministic pending-event queue ([`EventQueue`]), a seedable
-//! pseudo-random number generator ([`Rng`]) and simple time-series
-//! containers ([`TimeSeries`]).
+//! a seedable pseudo-random number generator ([`Rng`]) and simple
+//! time-series containers ([`TimeSeries`]).
 //!
 //! Nothing in this crate knows about CPUs, kernels or scheduling policies;
 //! it is a generic substrate comparable to the core of any event-driven
@@ -17,7 +16,6 @@
 //! simulations constructed with the same configuration and seed produce
 //! bit-identical results; wall-clock time never enters the simulation.
 
-pub mod event;
 pub mod fidelity;
 pub mod histogram;
 pub mod log_histogram;
@@ -28,7 +26,6 @@ pub mod sketch;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, ScheduledEvent};
 pub use fidelity::SimFidelity;
 pub use histogram::Histogram;
 pub use log_histogram::LogHistogram;

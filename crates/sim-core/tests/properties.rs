@@ -2,31 +2,9 @@
 
 use proptest::prelude::*;
 
-use sim_core::{mean, EventQueue, Rng, RunStats, SimDuration, SimTime, TimeSeries};
+use sim_core::{mean, Rng, RunStats, SimDuration, SimTime, TimeSeries};
 
 proptest! {
-    /// The event queue is a stable priority queue: pops come out in
-    /// nondecreasing time order, and ties preserve insertion order.
-    #[test]
-    fn event_queue_orders_arbitrary_schedules(times in proptest::collection::vec(0u64..1_000, 1..300)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_micros(t), (t, i));
-        }
-        let mut last: Option<(u64, usize)> = None;
-        let mut count = 0;
-        while let Some(ev) = q.pop() {
-            count += 1;
-            let (t, i) = ev.event;
-            prop_assert_eq!(ev.at.as_micros(), t);
-            if let Some((lt, li)) = last {
-                prop_assert!(t > lt || (t == lt && i > li), "order violated");
-            }
-            last = Some((t, i));
-        }
-        prop_assert_eq!(count, times.len());
-    }
-
     /// Time arithmetic: (t + a) + b == (t + b) + a and subtraction
     /// round-trips.
     #[test]

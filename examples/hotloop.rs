@@ -1,10 +1,10 @@
 //! Hot-loop timing: where one short simulation's wall time goes.
 //!
-//! Times `Kernel::run` under several configurations, the engine's
-//! `JobSpec::execute` (the `repro bench` hot loop), the tick-by-tick
-//! reference kernel the batched fast path is proven against, and the
-//! summary-fidelity mode that skips per-tick emission (O(1) per
-//! uniform span when the policy is memoryless or absent).
+//! Times `Kernel::run` under several configurations, and the engine's
+//! `JobSpec::execute` (the `repro bench` hot loop), at full fidelity
+//! (the tick-by-tick loop) and in the summary-fidelity mode that skips
+//! per-tick emission (O(1) per uniform span when the policy is
+//! memoryless or absent).
 //!
 //! ```sh
 //! cargo run --release --example hotloop
@@ -19,7 +19,7 @@ use policies::IntervalScheduler;
 use sim_core::{SimDuration, SimFidelity};
 use workloads::{Benchmark, MpegConfig, MpegWorkload};
 
-fn time_case(label: &str, workload: &str, policy: bool, reference: bool, fidelity: SimFidelity) {
+fn time_case(label: &str, workload: &str, policy: bool, fidelity: SimFidelity) {
     let secs = 2u64;
     let iters = 500u32;
     let build = || {
@@ -32,7 +32,6 @@ fn time_case(label: &str, workload: &str, policy: bool, reference: bool, fidelit
             Machine::itsy(10, devices),
             KernelConfig {
                 duration: SimDuration::from_secs(secs),
-                reference,
                 fidelity,
                 ..KernelConfig::default()
             },
@@ -92,25 +91,16 @@ fn time_exec(label: &str, f: &mut dyn FnMut()) {
 
 fn main() {
     use SimFidelity::{Full, Summary};
-    time_case("mpeg + policy (batched)", "mpeg", true, false, Full);
-    time_case("mpeg + policy (reference)", "mpeg", true, true, Full);
-    time_case("mpeg + policy (summary)", "mpeg", true, false, Summary);
-    time_case("mpeg, no policy (batched)", "mpeg", false, false, Full);
-    time_case("mpeg, no policy (summary)", "mpeg", false, false, Summary);
-    time_case("busy + policy (batched)", "busy", true, false, Full);
-    time_case("busy + policy (reference)", "busy", true, true, Full);
-    time_case("busy + policy (summary)", "busy", true, false, Summary);
-    time_case("busy, no policy (batched)", "busy", false, false, Full);
-    time_case("busy, no policy (summary)", "busy", false, false, Summary);
-    time_case("idle, no policy (batched)", "idle", false, false, Full);
-    time_case("idle, no policy (reference)", "idle", false, true, Full);
-    time_case(
-        "idle, no policy (summary, O(1))",
-        "idle",
-        false,
-        false,
-        Summary,
-    );
+    time_case("mpeg + policy (full)", "mpeg", true, Full);
+    time_case("mpeg + policy (summary)", "mpeg", true, Summary);
+    time_case("mpeg, no policy (full)", "mpeg", false, Full);
+    time_case("mpeg, no policy (summary)", "mpeg", false, Summary);
+    time_case("busy + policy (full)", "busy", true, Full);
+    time_case("busy + policy (summary)", "busy", true, Summary);
+    time_case("busy, no policy (full)", "busy", false, Full);
+    time_case("busy, no policy (summary)", "busy", false, Summary);
+    time_case("idle, no policy (full)", "idle", false, Full);
+    time_case("idle, no policy (summary, O(1))", "idle", false, Summary);
 
     let spec = engine::JobSpec::new(
         engine::WorkloadSpec::Benchmark(Benchmark::Mpeg),
@@ -121,9 +111,6 @@ fn main() {
     let summary_spec = spec.clone().with_fidelity(SimFidelity::Summary);
     time_exec("JobSpec::execute (bench hot)", &mut || {
         std::hint::black_box(spec.execute());
-    });
-    time_exec("JobSpec::execute_reference", &mut || {
-        std::hint::black_box(spec.execute_reference());
     });
     time_exec("JobSpec::execute (summary)", &mut || {
         std::hint::black_box(summary_spec.execute());
