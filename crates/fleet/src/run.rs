@@ -87,6 +87,22 @@ impl FleetAccum {
     }
 }
 
+/// Whole-run metric slots, in the order [`fold_result`] records them.
+/// The battery slot is last: mains devices skip it.
+static RUN_METRICS: [&str; 8] = [
+    "energy_j",
+    "mean_freq_mhz",
+    "mean_utilization",
+    "misses",
+    "max_lateness_us",
+    "clock_switches_per_sec",
+    "oscillating",
+    "battery_remaining",
+];
+
+/// Per-window metric slots, in record order; battery last likewise.
+static WINDOW_METRICS: [&str; 4] = ["energy_j", "misses", "utilization", "battery_drain_pct"];
+
 /// Folds one device's result — and its per-window timeline deltas —
 /// into the fleet accumulator.
 ///
@@ -96,6 +112,9 @@ impl FleetAccum {
 /// is the fleet's oscillation incidence), and `battery_remaining` for
 /// battery-powered devices (mains devices are skipped, so the sketch's
 /// mean is over devices that actually have a battery).
+///
+/// Every summary is laid out with fixed metric slots on first use, so
+/// each sample is recorded by index.
 pub fn fold_result(
     acc: &mut FleetAccum,
     _device: u64,
@@ -105,26 +124,29 @@ pub fn fold_result(
 ) {
     let secs = (spec.duration.as_micros() as f64 / 1e6).max(1e-9);
     let switches_per_sec = r.clock_switches as f64 / secs;
-    acc.summary.record("energy_j", r.energy_j);
-    acc.summary.record("mean_freq_mhz", r.mean_freq_mhz);
-    acc.summary.record("mean_utilization", r.mean_utilization);
-    acc.summary.record("misses", r.misses as f64);
-    acc.summary
-        .record("max_lateness_us", r.max_lateness_us as f64);
-    acc.summary
-        .record("clock_switches_per_sec", switches_per_sec);
-    acc.summary.record(
-        "oscillating",
-        if switches_per_sec > OSCILLATION_SWITCHES_PER_SEC {
-            1.0
-        } else {
-            0.0
-        },
-    );
-    if r.battery_remaining >= 0.0 {
-        acc.summary.record("battery_remaining", r.battery_remaining);
+    let oscillating = if switches_per_sec > OSCILLATION_SWITCHES_PER_SEC {
+        1.0
+    } else {
+        0.0
+    };
+    let run = [
+        r.energy_j,
+        r.mean_freq_mhz,
+        r.mean_utilization,
+        r.misses as f64,
+        r.max_lateness_us as f64,
+        switches_per_sec,
+        oscillating,
+    ];
+    let summary = &mut acc.summary;
+    summary.lay_out(&RUN_METRICS);
+    for (slot, v) in run.into_iter().enumerate() {
+        summary.record_at(slot, v);
     }
-    acc.summary.bump_devices();
+    if r.battery_remaining >= 0.0 {
+        summary.record_at(run.len(), r.battery_remaining);
+    }
+    summary.bump_devices();
 
     if acc.windows.len() < timeline.len() {
         acc.windows.resize(timeline.len(), FleetWindow::default());
@@ -134,16 +156,21 @@ pub fn fold_result(
     for (win, sample) in acc.windows.iter_mut().zip(timeline) {
         win.start_us = sample.start_us;
         win.end_us = sample.end_us;
-        win.summary.record("energy_j", sample.energy_j);
-        win.summary.record("misses", sample.misses as f64);
         let span_us = sample.end_us.saturating_sub(sample.start_us).max(1);
-        win.summary
-            .record("utilization", sample.busy_us as f64 / span_us as f64);
-        if capacity_j > 0.0 {
-            win.summary
-                .record("battery_drain_pct", sample.energy_j / capacity_j * 100.0);
+        let row = [
+            sample.energy_j,
+            sample.misses as f64,
+            sample.busy_us as f64 / span_us as f64,
+        ];
+        let summary = &mut win.summary;
+        summary.lay_out(&WINDOW_METRICS);
+        for (slot, v) in row.into_iter().enumerate() {
+            summary.record_at(slot, v);
         }
-        win.summary.bump_devices();
+        if capacity_j > 0.0 {
+            summary.record_at(row.len(), sample.energy_j / capacity_j * 100.0);
+        }
+        summary.bump_devices();
     }
 }
 
@@ -291,6 +318,67 @@ mod tests {
         let (min, max) = (h.min().unwrap(), h.max().unwrap());
         assert!(min == 0.0 || min == 1.0);
         assert!(max == 0.0 || max == 1.0);
+    }
+
+    #[test]
+    fn mains_only_devices_record_no_battery_metrics() {
+        let population = PopulationConfig::new(100, 99);
+        let mut acc = FleetAccum::default();
+        for device in (0..population.devices)
+            .filter(|&d| population.spec_for(d).hw.battery_mwh == 0)
+            .take(2)
+        {
+            let spec = population.spec_for(device);
+            let (r, timeline) = spec.execute_timeline(2);
+            fold_result(&mut acc, device, &spec, &r, &timeline);
+        }
+        let names: Vec<&str> = acc.summary.metric_names().collect();
+        assert_eq!(
+            names,
+            [
+                "clock_switches_per_sec",
+                "energy_j",
+                "max_lateness_us",
+                "mean_freq_mhz",
+                "mean_utilization",
+                "misses",
+                "oscillating"
+            ]
+        );
+        for w in &acc.windows {
+            let names: Vec<&str> = w.summary.metric_names().collect();
+            assert_eq!(names, ["energy_j", "misses", "utilization"]);
+        }
+        let mut bytes = acc.summary.encode();
+        for w in &acc.windows {
+            bytes.push_str(&format!(
+                "{} {}\n{}",
+                w.start_us,
+                w.end_us,
+                w.summary.encode()
+            ));
+        }
+        assert_eq!(
+            bytes,
+            "fleet-summary v1 devices=2 failed=0\n\
+             clock_switches_per_sec\tn=2;z=0;s=17825792;min=4008000000000000;max=402c000000000000;b=25:1,60:1\n\
+             energy_j\tn=2;z=0;s=2549279;min=3fee699c93e4fbd4;max=3ff7b150dffc4e54;b=-2:1,9:1\n\
+             max_lateness_us\tn=2;z=1;s=2696937472;min=0000000000000000;max=40a4180000000000;b=181:1\n\
+             mean_freq_mhz\tn=2;z=0;s=256867898;min=4050930288df0cac;max=4066557b2f250185;b=96:1,119:1\n\
+             mean_utilization\tn=2;z=0;s=1028689;min=3fc230ec31162281;max=3fead8665e02ea96;b=-46:1,-5:1\n\
+             misses\tn=2;z=2;s=0;min=0000000000000000;max=0000000000000000;b=\n\
+             oscillating\tn=2;z=0;s=2097152;min=3ff0000000000000;max=3ff0000000000000;b=0:2\n\
+             0 500000\n\
+             fleet-summary v1 devices=2 failed=0\n\
+             energy_j\tn=2;z=0;s=1274590;min=3fddc80d0fa3723b;max=3fe801b6da604298;b=-18:1,-7:1\n\
+             misses\tn=2;z=2;s=0;min=0000000000000000;max=0000000000000000;b=\n\
+             utilization\tn=2;z=0;s=1012409;min=3fb98aeb80ecfa6a;max=3febb413986338b4;b=-54:1,-4:1\n\
+             500000 1000000\n\
+             fleet-summary v1 devices=2 failed=0\n\
+             energy_j\tn=2;z=0;s=1274688;min=3fdf0b2c18268568;max=3fe760eae5985a11;b=-17:1,-8:1\n\
+             misses\tn=2;z=2;s=0;min=0000000000000000;max=0000000000000000;b=\n\
+             utilization\tn=2;z=0;s=1044969;min=3fc79c62a1b5c7ce;max=3fe9fcb923a29c78;b=-40:1,-5:1\n"
+        );
     }
 
     #[test]

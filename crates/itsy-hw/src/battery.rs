@@ -19,6 +19,19 @@
 //!   back into the battery while the draw is light, so pulsed loads
 //!   deliver more total energy than a constant load of the same average
 //!   power.
+//!
+//! # Memoised decay factors
+//!
+//! [`Battery::drain`] needs `1 − exp(−dt/τ)` for the smoothing and the
+//! recovery time constants on every call, and the kernel drains with a
+//! handful of durations over and over — the 10-ms quantum above all.
+//! Each factor is a pure function of the draw's microsecond count (the
+//! parameters never change after construction), so the battery keeps
+//! the last factor per `µs % 8` and recomputes only on a miss, with the
+//! very expression it would otherwise evaluate. A hit therefore returns
+//! the same bits a fresh `exp` would, and the charge trajectory is
+//! unchanged. The memo belongs to the battery instance: no global or
+//! thread-local state.
 
 use sim_core::{Power, SimDuration};
 
@@ -80,6 +93,27 @@ pub struct Battery {
     charge_j: f64,
     avg_power_w: f64,
     recoverable_j: f64,
+    /// Smoothing factor per draw duration.
+    alpha: DecayMemo,
+    /// Recovery factor per draw duration.
+    beta: DecayMemo,
+}
+
+/// `1 − exp(−dt/τ)` for one fixed `τ`, remembered for the last draw
+/// duration seen in each of 8 slots (by `µs % 8`). Zero marks an empty
+/// slot: `drain` never asks for a zero-length draw.
+#[derive(Debug, Clone, Default)]
+struct DecayMemo([(u64, f64); 8]);
+
+impl DecayMemo {
+    #[inline]
+    fn factor(&mut self, us: u64, dt: f64, tau_s: f64) -> f64 {
+        let slot = &mut self.0[(us % 8) as usize];
+        if slot.0 != us {
+            *slot = (us, 1.0 - (-dt / tau_s).exp());
+        }
+        slot.1
+    }
 }
 
 impl Battery {
@@ -99,6 +133,8 @@ impl Battery {
             charge_j,
             avg_power_w: 0.0,
             recoverable_j: 0.0,
+            alpha: DecayMemo::default(),
+            beta: DecayMemo::default(),
         }
     }
 
@@ -144,8 +180,9 @@ impl Battery {
         if dt <= 0.0 {
             return;
         }
+        let us = d.as_micros();
         // Exponential smoothing toward the instantaneous draw.
-        let alpha = 1.0 - (-dt / self.params.smoothing_tau_s).exp();
+        let alpha = self.alpha.factor(us, dt, self.params.smoothing_tau_s);
         self.avg_power_w += alpha * (p.as_watts() - self.avg_power_w);
         let derate = self.derating(self.avg_power_w);
         let ideal = p.as_watts() * dt;
@@ -154,7 +191,7 @@ impl Battery {
         self.recoverable_j += loss * self.params.recovery_fraction;
         // Charge recovery while the load is light.
         if p.as_watts() <= self.params.ref_power_w && self.recoverable_j > 0.0 {
-            let beta = 1.0 - (-dt / self.params.recovery_tau_s).exp();
+            let beta = self.beta.factor(us, dt, self.params.recovery_tau_s);
             let back = self.recoverable_j * beta;
             self.recoverable_j -= back;
             self.charge_j += back;
@@ -178,6 +215,85 @@ impl Battery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::Rng;
+
+    /// `Battery::drain` as it was before the decay memo: both factors
+    /// from `exp` on every call.
+    fn drain_unmemoised(b: &mut Battery, p: Power, d: SimDuration) {
+        let dt = d.as_secs_f64();
+        if dt <= 0.0 {
+            return;
+        }
+        let alpha = 1.0 - (-dt / b.params.smoothing_tau_s).exp();
+        b.avg_power_w += alpha * (p.as_watts() - b.avg_power_w);
+        let derate = b.derating(b.avg_power_w);
+        let ideal = p.as_watts() * dt;
+        let loss = ideal * (derate - 1.0);
+        b.charge_j -= ideal + loss;
+        b.recoverable_j += loss * b.params.recovery_fraction;
+        if p.as_watts() <= b.params.ref_power_w && b.recoverable_j > 0.0 {
+            let beta = 1.0 - (-dt / b.params.recovery_tau_s).exp();
+            let back = b.recoverable_j * beta;
+            b.recoverable_j -= back;
+            b.charge_j += back;
+        }
+    }
+
+    #[test]
+    fn memoised_drain_keeps_every_bit() {
+        let mut rng = Rng::new(0x5eed);
+        let mut memo = Battery::with_charge_fraction(BatteryParams::default(), 0.9);
+        let mut plain = memo.clone();
+        let ref_w = memo.params.ref_power_w;
+        let (mut derated, mut recovered) = (0, 0);
+        let mut step = |p: f64, us: u64| {
+            derated += usize::from(memo.avg_power_w > ref_w);
+            recovered += usize::from(p <= ref_w && memo.recoverable_j > 0.0);
+            let (p, d) = (Power::from_watts(p), SimDuration::from_micros(us));
+            memo.drain(p, d);
+            drain_unmemoised(&mut plain, p, d);
+            assert_eq!(
+                memo.remaining_fraction().to_bits(),
+                plain.remaining_fraction().to_bits(),
+                "charge after {p:?} for {us} us"
+            );
+            assert_eq!(
+                memo.smoothed_draw().as_watts().to_bits(),
+                plain.smoothed_draw().as_watts().to_bits(),
+                "smoothed draw after {p:?} for {us} us"
+            );
+        };
+        for round in 0..40 {
+            // Arbitrary draws.
+            for _ in 0..200 {
+                step(rng.uniform_range(0.05, 5.0), 1 + rng.below(20_000));
+            }
+            // Durations that share a memo slot, alternating: `us` with
+            // `us + 8` and with `us + 16`. Even rounds hold a sustained
+            // heavy draw (smoothed draw above the 0.19-W reference, so
+            // the derating `powf` path runs); odd rounds a light one
+            // (the recovery path, which reads the second memo).
+            let us = 1 + rng.below(20_000);
+            let (lo, hi) = if round % 2 == 0 {
+                (0.5, 5.0)
+            } else {
+                (0.05, 0.19)
+            };
+            for i in 0..300 {
+                let other = if i % 4 < 2 { us + 8 } else { us + 16 };
+                let d = if i % 2 == 0 { us } else { other };
+                step(rng.uniform_range(lo, hi), d);
+            }
+        }
+        assert!(
+            derated > 1_000,
+            "only {derated} drains above the reference draw"
+        );
+        assert!(
+            recovered > 1_000,
+            "only {recovered} drains on the recovery path"
+        );
+    }
 
     #[test]
     fn full_at_birth() {

@@ -11,6 +11,7 @@
 //! boundaries (a policy may change the clock mid-burst) without
 //! accumulating rounding debt.
 
+use sim_core::round::ceil_u64;
 use sim_core::{Frequency, SimDuration};
 
 use crate::clock::StepIndex;
@@ -103,7 +104,7 @@ impl Work {
             return SimDuration::ZERO;
         }
         let us = cycles * 1_000.0 / f.as_khz() as f64;
-        SimDuration::from_micros(us.ceil() as u64)
+        SimDuration::from_micros(ceil_u64(us))
     }
 
     /// Scales every component by `q`.

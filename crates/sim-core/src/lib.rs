@@ -21,6 +21,7 @@ pub mod histogram;
 pub mod log_histogram;
 pub mod quantity;
 pub mod rng;
+pub mod round;
 pub mod series;
 pub mod sketch;
 pub mod stats;

@@ -26,8 +26,22 @@
 //! [`mean`](Self::mean)) quantizes each sample to the fixed-point grid
 //! (absolute error ≤ 2⁻²¹ per sample), which is far below the bucket
 //! resolution everything downstream consumes.
+//!
+//! # Storage
+//!
+//! Buckets live in one dense `Vec<u64>` running from the lowest to the
+//! highest occupied index, so recording a sample is an index, not a
+//! tree probe. The representation is canonical — empty, or its first
+//! and last counts non-zero — and [`encode`](LogHistogram::encode),
+//! `==`, [`merge`](LogHistogram::merge) and
+//! [`percentile`](LogHistogram::percentile) all see only the non-zero
+//! buckets, exactly as a sparse map would.
+//! Memory is bounded by the occupied bucket *span*: a finite positive
+//! `f64` lands in buckets −17,184 (`5e-324`) to 16,384 (`f64::MAX`,
+//! whose `log2` rounds to exactly 1024), so a histogram holds at most
+//! 33,569 buckets; physical quantities span a few hundred.
 
-use std::collections::BTreeMap;
+use crate::round::{floor_i32, round_i128};
 
 /// Sub-buckets per octave (power of two). 16 gives ≤ 2.2 % relative
 /// quantile error from bucket midpointing.
@@ -38,10 +52,18 @@ const SUBBUCKETS: f64 = 16.0;
 /// the quantization error below 2⁻²¹ per sample.
 const SUM_SCALE: f64 = (1u64 << 20) as f64;
 
+/// Lowest bucket index a finite positive `f64` reaches:
+/// `floor(16 · log2(5e-324))`.
+const MIN_BUCKET: i32 = -17_184;
+
+/// Highest bucket index a finite `f64` reaches: `f64::MAX.log2()`
+/// rounds to exactly 1024.
+const MAX_BUCKET: i32 = 16_384;
+
 /// Converts one sample to fixed-point sum units. Saturates at the
 /// `i128` range (unreachable for physical quantities).
 fn to_fixed(v: f64) -> i128 {
-    (v * SUM_SCALE).round() as i128
+    round_i128(v * SUM_SCALE)
 }
 
 /// A histogram over `(0, ∞)` with logarithmic buckets.
@@ -69,8 +91,12 @@ fn to_fixed(v: f64) -> i128 {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
-    /// Bucket index → count; index `i` covers `[2^(i/16), 2^((i+1)/16))`.
-    buckets: BTreeMap<i32, u64>,
+    /// Count of bucket `base + k` at position `k`; bucket `i` covers
+    /// `[2^(i/16), 2^((i+1)/16))`. Canonical: empty (with `base` 0),
+    /// or the first and last counts are non-zero.
+    buckets: Vec<u64>,
+    /// Bucket index of `buckets[0]`.
+    base: i32,
     /// Samples with value ≤ 0.
     zeros: u64,
     count: u64,
@@ -98,7 +124,8 @@ impl LogHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         LogHistogram {
-            buckets: BTreeMap::new(),
+            buckets: Vec::new(),
+            base: 0,
             zeros: 0,
             count: 0,
             sum_fixed: 0,
@@ -108,7 +135,34 @@ impl LogHistogram {
     }
 
     fn bucket_of(v: f64) -> i32 {
-        (v.log2() * SUBBUCKETS).floor() as i32
+        floor_i32(v.log2() * SUBBUCKETS)
+    }
+
+    /// Widens the dense range to cover buckets `lo..=hi`, keeping every
+    /// count at its index. Callers pass indices in
+    /// `MIN_BUCKET..=MAX_BUCKET`, which bounds the allocation.
+    fn cover(&mut self, lo: i32, hi: i32) {
+        if self.buckets.is_empty() {
+            self.base = lo;
+            self.buckets.resize((hi - lo) as usize + 1, 0);
+            return;
+        }
+        if lo < self.base {
+            let grow = (self.base - lo) as usize;
+            self.buckets.splice(0..0, std::iter::repeat_n(0, grow));
+            self.base = lo;
+        }
+        let top = (hi - self.base) as usize;
+        if top >= self.buckets.len() {
+            self.buckets.resize(top + 1, 0);
+        }
+    }
+
+    /// `(index, count)` of every non-zero bucket, in index order.
+    fn occupied(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
+        (self.base..)
+            .zip(self.buckets.iter().copied())
+            .filter(|&(_, c)| c > 0)
     }
 
     /// Geometric midpoint of a bucket — the representative value
@@ -126,7 +180,11 @@ impl LogHistogram {
         if v <= 0.0 {
             self.zeros += 1;
         } else {
-            *self.buckets.entry(Self::bucket_of(v)).or_insert(0) += 1;
+            let i = Self::bucket_of(v);
+            if i.wrapping_sub(self.base) as usize >= self.buckets.len() {
+                self.cover(i, i);
+            }
+            self.buckets[(i - self.base) as usize] += 1;
         }
         self.count += 1;
         self.sum_fixed = self.sum_fixed.saturating_add(to_fixed(v));
@@ -185,7 +243,7 @@ impl LogHistogram {
         if rank <= seen {
             return Some(0.0_f64.max(self.min).min(self.max));
         }
-        for (&i, &c) in &self.buckets {
+        for (i, c) in self.occupied() {
             seen += c;
             if rank <= seen {
                 return Some(Self::bucket_mid(i).clamp(self.min, self.max));
@@ -200,8 +258,13 @@ impl LogHistogram {
     /// any shard partitioning, and the merged state encodes to the same
     /// bytes a single-pass recording would.
     pub fn merge(&mut self, other: &LogHistogram) {
-        for (&i, &c) in &other.buckets {
-            *self.buckets.entry(i).or_insert(0) += c;
+        if !other.buckets.is_empty() {
+            let top = other.base + other.buckets.len() as i32 - 1;
+            self.cover(other.base, top);
+            let from = (other.base - self.base) as usize;
+            for (mine, &c) in self.buckets[from..].iter_mut().zip(&other.buckets) {
+                *mine += c;
+            }
         }
         self.zeros += other.zeros;
         self.count += other.count;
@@ -228,8 +291,8 @@ impl LogHistogram {
             self.min.to_bits(),
             self.max.to_bits(),
         );
-        for (i, (&bucket, &c)) in self.buckets.iter().enumerate() {
-            if i > 0 {
+        for (n, (bucket, c)) in self.occupied().enumerate() {
+            if n > 0 {
                 out.push(',');
             }
             out.push_str(&format!("{bucket}:{c}"));
@@ -239,40 +302,54 @@ impl LogHistogram {
 
     /// Decodes [`encode`](Self::encode) output; `None` on any
     /// malformed, missing or inconsistent field.
+    ///
+    /// The text may come from outside the program, so every bucket
+    /// index is checked against the range a finite `f64` reaches
+    /// before the dense storage grows to it, and zero counts and
+    /// duplicate or descending indices (which `encode` never writes)
+    /// are rejected.
     pub fn decode(s: &str) -> Option<Self> {
-        let mut fields: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
+        const KEYS: [&str; 6] = ["n", "z", "s", "min", "max", "b"];
+        let mut fields = [None; KEYS.len()];
         for pair in s.trim().split(';') {
             let (k, v) = pair.split_once('=')?;
-            fields.insert(k.trim(), v.trim());
+            if let Some(j) = KEYS.iter().position(|&key| key == k.trim()) {
+                fields[j] = Some(v.trim());
+            }
         }
-        let count: u64 = fields.get("n")?.parse().ok()?;
-        let zeros: u64 = fields.get("z")?.parse().ok()?;
-        let sum_fixed: i128 = fields.get("s")?.parse().ok()?;
-        let min = f64::from_bits(u64::from_str_radix(fields.get("min")?, 16).ok()?);
-        let max = f64::from_bits(u64::from_str_radix(fields.get("max")?, 16).ok()?);
-        let mut buckets = BTreeMap::new();
-        let body = *fields.get("b")?;
+        let [n, z, sum, min, max, body] = fields;
+        let count: u64 = n?.parse().ok()?;
+        let zeros: u64 = z?.parse().ok()?;
+        let sum_fixed: i128 = sum?.parse().ok()?;
+        let min = f64::from_bits(u64::from_str_radix(min?, 16).ok()?);
+        let max = f64::from_bits(u64::from_str_radix(max?, 16).ok()?);
+        let mut h = LogHistogram::new();
+        let mut bucketed = 0u64;
+        let body = body?;
         if !body.is_empty() {
             for pair in body.split(',') {
                 let (i, c) = pair.split_once(':')?;
-                let prev = buckets.insert(i.parse::<i32>().ok()?, c.parse::<u64>().ok()?);
-                if prev.is_some() {
+                let (i, c) = (i.parse::<i32>().ok()?, c.parse::<u64>().ok()?);
+                let ascending = h.buckets.is_empty() || i >= h.base + h.buckets.len() as i32;
+                if !(MIN_BUCKET..=MAX_BUCKET).contains(&i) || !ascending || c == 0 {
                     return None;
                 }
+                h.cover(i, i);
+                h.buckets[(i - h.base) as usize] = c;
+                bucketed = bucketed.checked_add(c)?;
             }
         }
         // Every recorded sample is in exactly one bucket (or zeros).
-        let bucketed: u64 = buckets.values().sum();
         if zeros.checked_add(bucketed)? != count {
             return None;
         }
         Some(LogHistogram {
-            buckets,
             zeros,
             count,
             sum_fixed,
             min,
             max,
+            ..h
         })
     }
 }

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use sim_core::round::{ceil_u64, floor_i32, round_i128};
 use sim_core::{mean, Rng, RunStats, SimDuration, SimTime, TimeSeries};
 
 proptest! {
@@ -103,4 +104,76 @@ fn ci_coverage_is_near_nominal() {
         "95% CI covered the true mean {:.1}% of the time",
         rate * 100.0
     );
+}
+
+/// Each integer rounding helper against the std expression it
+/// replaces, bit for bit.
+fn check_rounding(x: f64) -> Result<(), TestCaseError> {
+    prop_assert_eq!(floor_i32(x), x.floor() as i32, "floor_i32({:e})", x);
+    prop_assert_eq!(round_i128(x), x.round() as i128, "round_i128({:e})", x);
+    prop_assert_eq!(ceil_u64(x), x.ceil() as u64, "ceil_u64({:e})", x);
+    Ok(())
+}
+
+proptest! {
+    /// Arbitrary bit patterns (every exponent, subnormals, NaN, ±∞),
+    /// the same mantissas scaled into the integer path's range, and
+    /// the halfway points and their neighbours.
+    #[test]
+    fn integer_rounding_is_exact(
+        bits in proptest::collection::vec(any::<u64>(), 1..64),
+        scales in proptest::collection::vec(0i32..60, 1..64),
+    ) {
+        for (&b, &k) in bits.iter().zip(scales.iter().cycle()) {
+            let x = f64::from_bits(b);
+            check_rounding(x)?;
+            // A value of magnitude below 2^k, both signs.
+            let small = (b as i64) as f64 / 2f64.powi(63) * 2f64.powi(k);
+            check_rounding(small)?;
+            // n + 0.5 and its neighbours.
+            let half = (b >> (64 - k.max(1))) as f64 + 0.5;
+            for v in [half, half.next_up(), half.next_down()] {
+                check_rounding(v)?;
+                check_rounding(-v)?;
+            }
+        }
+    }
+}
+
+#[test]
+fn integer_rounding_is_exact_at_the_edges() {
+    let two_52 = 4_503_599_627_370_496.0_f64;
+    let mut edges = vec![
+        0.0,
+        -0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE.next_down(),
+        0.5,
+        0.5f64.next_up(),
+        0.5f64.next_down(),
+        1.5,
+        2.5,
+        two_52 - 1.0,
+        two_52 - 0.5,
+        two_52,
+        two_52 + 1.0,
+        two_52.next_down(),
+        2f64.powi(31),
+        2f64.powi(31) - 0.5,
+        2f64.powi(63),
+        2f64.powi(64),
+        2f64.powi(127),
+        f64::MAX,
+        f64::NAN,
+        f64::INFINITY,
+    ];
+    for n in [0.0_f64, 1.0, 2.0, 1e6, 1e15] {
+        let half = n + 0.5;
+        edges.extend([half, half.next_up(), half.next_down()]);
+    }
+    for x in edges {
+        check_rounding(x).unwrap();
+        check_rounding(-x).unwrap();
+    }
 }
