@@ -39,7 +39,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use obs::registry::counter;
-use obs::{RunMetrics, WorkerMetrics};
+use obs::RunMetrics;
 
 use crate::cache::{CacheProbe, ResultCache};
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
@@ -191,11 +191,6 @@ pub struct BatchOutcome {
     /// Aggregated observability metrics for the batch (also written as
     /// `metrics.json` when [`EngineConfig::write_metrics`] is set).
     pub metrics: RunMetrics,
-    /// Merged per-worker counters and histograms (includes the
-    /// collector's cache-hit service times) — the raw material behind
-    /// `metrics`, exposed for harnesses that need distributions, not
-    /// just percentile summaries.
-    pub worker_metrics: WorkerMetrics,
     /// The batch's wall-clock span profile: one buffer per thread
     /// (collector first, then workers). Empty unless span profiling
     /// was enabled ([`obs::span::set_enabled`]).
@@ -315,8 +310,7 @@ impl Engine {
         let mut slots: Vec<Option<Result<JobResult, JobFailure>>> = Vec::with_capacity(specs.len());
         let (mut journal_hits, mut cache_hits, mut quarantined) = (0usize, 0usize, 0usize);
         // The calling thread's tally: reused results count toward the
-        // data-level aggregates, and cache-hit service times live here
-        // because only this thread probes.
+        // data-level aggregates.
         let mut tally = Tally::default();
         for spec in specs {
             let key = {
@@ -334,15 +328,10 @@ impl Engine {
             let hit = hit.or_else(|| match &cache {
                 Some(c) => {
                     let _s = obs::span::enter("cache_probe");
-                    let probe_started = Instant::now();
                     match c.probe(spec, &faults) {
                         CacheProbe::Hit(r) => {
                             cache_hits += 1;
                             m_cache_hits.inc();
-                            tally.wm.observe_log(
-                                "cache_hit_service_us",
-                                probe_started.elapsed().as_secs_f64() * 1e6,
-                            );
                             obs::debug!("engine: cache_hit key={key}");
                             Some(r)
                         }
@@ -523,7 +512,6 @@ impl Engine {
             stats,
             faults: faults.stats(),
             metrics,
-            worker_metrics: tally.wm,
             profile,
         }
     }

@@ -30,8 +30,9 @@ use std::time::{Duration, Instant};
 
 use kernel_sim::WindowSample;
 use obs::registry::{counter, gauge, histogram, Gauge};
-use obs::{PolicyMetrics, RunMetrics, WorkerMetrics};
+use obs::{PolicyMetrics, RunMetrics};
 use policies::PolicyDesc;
+use sim_core::LogHistogram;
 
 use crate::engine::{panic_message, Engine, JobFailure};
 use crate::fault::FaultInjector;
@@ -46,12 +47,22 @@ pub(crate) const PROGRESS_INTERVAL: Duration = Duration::from_millis(500);
 /// addition, so the total never depends on which worker ran which job.
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
-    /// Counters (`retries`, `sim_us`, switch and drop totals) and
-    /// log-bucketed wall-clock histograms.
-    pub(crate) wm: WorkerMetrics,
     /// Jobs run to completion on a worker. Results a batch reuses from
     /// its journal or cache are recorded but not counted here.
     pub(crate) executed: u64,
+    /// Attempts beyond the first, over every job a worker ran.
+    retries: u64,
+    /// Simulated time of the jobs run to completion, µs.
+    sim_us: u64,
+    /// Scheduler log records dropped, over every recorded result.
+    sched_dropped: u64,
+    /// Clock-step transitions, over every recorded result.
+    clock_switches: u64,
+    /// Voltage transitions, over every recorded result.
+    voltage_switches: u64,
+    /// Wall-clock latency of every job a worker ran, failed ones
+    /// included, µs.
+    job_latency_us: LogHistogram,
     /// Cells and switches per policy, keyed by descriptor so the fold
     /// never formats a label.
     per_policy: Vec<(PolicyDesc, PolicyMetrics)>,
@@ -60,9 +71,9 @@ pub(crate) struct Tally {
 impl Tally {
     /// Counts one result's simulated-machine totals.
     pub(crate) fn record(&mut self, spec: &JobSpec, r: &JobResult) {
-        self.wm.add("sched_dropped", r.sched_dropped);
-        self.wm.add("clock_switches", r.clock_switches);
-        self.wm.add("voltage_switches", r.voltage_switches);
+        self.sched_dropped += r.sched_dropped;
+        self.clock_switches += r.clock_switches;
+        self.voltage_switches += r.voltage_switches;
         let at = match self.per_policy.iter().position(|(d, _)| *d == spec.policy) {
             Some(at) => at,
             None => {
@@ -78,11 +89,28 @@ impl Tally {
     }
 
     /// Adds another tally in. A descriptor may then appear more than
-    /// once; [`Tally::metrics`] sums its entries by label.
+    /// once; [`Tally::metrics`] sums its entries by label. The
+    /// exhaustive destructure makes a new field a compile error here
+    /// until it is merged.
     pub(crate) fn merge(&mut self, other: Tally) {
-        self.wm.merge_from(&other.wm);
-        self.executed += other.executed;
-        self.per_policy.extend(other.per_policy);
+        let Tally {
+            executed,
+            retries,
+            sim_us,
+            sched_dropped,
+            clock_switches,
+            voltage_switches,
+            job_latency_us,
+            per_policy,
+        } = other;
+        self.executed += executed;
+        self.retries += retries;
+        self.sim_us += sim_us;
+        self.sched_dropped += sched_dropped;
+        self.clock_switches += clock_switches;
+        self.voltage_switches += voltage_switches;
+        self.job_latency_us.merge(&job_latency_us);
+        self.per_policy.extend(per_policy);
     }
 
     /// Completes `base`, whose counts the caller filled in, with the
@@ -96,17 +124,16 @@ impl Tally {
             entry.clock_switches += p.clock_switches;
             entry.voltage_switches += p.voltage_switches;
         }
-        let c = |name| self.wm.counter(name);
-        base.retries = c("retries");
-        base.sim_us = c("sim_us");
-        base.sched_dropped = c("sched_dropped");
-        base.clock_switches = c("clock_switches");
-        base.voltage_switches = c("voltage_switches");
+        base.retries = self.retries;
+        base.sim_us = self.sim_us;
+        base.sched_dropped = self.sched_dropped;
+        base.clock_switches = self.clock_switches;
+        base.voltage_switches = self.voltage_switches;
         base.peak_rss_bytes = obs::peak_rss_bytes().unwrap_or(0);
         base.per_policy = (per_policy.into_iter())
             .map(|(policy, p)| PolicyMetrics { policy, ..p })
             .collect();
-        base.set_job_latencies(self.wm.log_histogram("job_latency_us"));
+        base.set_job_latencies(&self.job_latency_us);
         let stages = profile.tree().stage_self_totals();
         base.set_stages(stages.iter().map(|(name, &ns)| (name.as_str(), ns)));
         base.finalize();
@@ -281,7 +308,7 @@ impl Engine {
                         break Err(panic_message(payload.as_ref()))
                     }
                     Err(_) => {
-                        tally.wm.inc("retries");
+                        tally.retries += 1;
                         m_retries.inc();
                         obs::debug!("engine: job_retry key={} attempt={attempts}", *key);
                     }
@@ -289,7 +316,7 @@ impl Engine {
             };
             let msg = match outcome {
                 Ok((result, timeline)) => {
-                    tally.wm.add("sim_us", spec.duration.as_micros());
+                    tally.sim_us += spec.duration.as_micros();
                     tally.record(&spec, &result);
                     tally.executed += 1;
                     m_jobs.inc();
@@ -310,7 +337,7 @@ impl Engine {
                 }
             };
             let latency_us = started.elapsed().as_secs_f64() * 1e6;
-            tally.wm.observe_log("job_latency_us", latency_us);
+            tally.job_latency_us.record(latency_us);
             h_latency.observe(latency_us);
             drop(job_span);
             if let Some(msg) = msg {

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use kernel_sim::WindowSample;
-use obs::{RunMetrics, WorkerMetrics};
+use obs::RunMetrics;
 
 use crate::engine::{Engine, JobFailure};
 use crate::fault::{FaultInjector, FaultStats};
@@ -98,8 +98,6 @@ pub struct StreamOutcome<A> {
     /// The run's metrics rollup (written as `metrics.json` when the
     /// engine config asks for it).
     pub metrics: RunMetrics,
-    /// Merged per-worker counters and histograms.
-    pub worker_metrics: WorkerMetrics,
     /// Span profile: the calling thread first, then workers.
     pub profile: obs::Profile,
 }
@@ -218,7 +216,6 @@ impl Engine {
             failures,
             faults: faults.stats(),
             metrics,
-            worker_metrics: pooled.tally.wm,
             profile,
         }
     }

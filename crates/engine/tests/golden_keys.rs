@@ -1,4 +1,5 @@
-//! Golden snapshot of `JobSpec` content keys.
+//! Golden snapshots of `JobSpec` content keys and of the results they
+//! address.
 //!
 //! Every cached result and journal record is addressed by the FNV-1a
 //! 128 hash of a spec's canonical string. If that hash drifts — a
@@ -9,15 +10,22 @@
 //! be an accident: this test pins the keys of a representative spec
 //! grid against a committed fixture so drift fails CI loudly.
 //!
+//! The converse drift is worse: if a result moves while its key stays
+//! put, every warm cache keeps serving the old bytes and nothing fails.
+//! So the encoded `JobResult` of every grid spec is pinned too, at both
+//! fidelities; a change that moves one must bump `SIM_VERSION` (Full)
+//! or `SUMMARY_SIM_VERSION` (Summary) along with the fixture.
+//!
 //! To regenerate after an intentional change:
 //!
 //! ```text
 //! UPDATE_GOLDEN_KEYS=1 cargo test -p engine --test golden_keys
+//! UPDATE_GOLDEN_RESULTS=1 cargo test -p engine --test golden_keys
 //! ```
 
 use engine::{JobSpec, WorkloadSpec};
 use policies::{Hysteresis, PolicyDesc, PredictorDesc, SpeedChange, VoltageRule};
-use sim_core::SimDuration;
+use sim_core::{SimDuration, SimFidelity};
 use workloads::Benchmark;
 
 /// A fixed grid crossing every workload kind, predictor family member,
@@ -111,53 +119,69 @@ fn golden_grid() -> Vec<JobSpec> {
     specs
 }
 
-/// One fixture line per spec: `<key> <canonical>`.
-fn render(specs: &[JobSpec]) -> String {
-    let mut out = String::new();
-    for s in specs {
-        out.push_str(&format!("{} {}\n", s.key(), s.canonical()));
-    }
-    out
-}
-
-#[test]
-fn content_keys_match_committed_fixture() {
-    let specs = golden_grid();
-    let actual = render(&specs);
-    let fixture_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/golden_keys.txt"
-    );
-
-    if std::env::var_os("UPDATE_GOLDEN_KEYS").is_some() {
-        std::fs::write(fixture_path, &actual).expect("write fixture");
+/// Compares `actual` with `tests/fixtures/<file>` line by line and
+/// fails with `drift` at the first difference. With `update_var` set in
+/// the environment it rewrites the fixture instead.
+fn assert_matches_fixture(file: &str, update_var: &str, actual: &str, drift: &str) {
+    let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os(update_var).is_some() {
+        std::fs::write(&path, actual).expect("write fixture");
         return;
     }
-
-    let expected = std::fs::read_to_string(fixture_path).expect(
-        "missing tests/fixtures/golden_keys.txt — regenerate with \
-         UPDATE_GOLDEN_KEYS=1 cargo test -p engine --test golden_keys",
-    );
-
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing tests/fixtures/{file} ({e}) — regenerate with \
+             {update_var}=1 cargo test -p engine --test golden_keys"
+        )
+    });
     for (i, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
-        assert_eq!(
-            want,
-            got,
-            "\ncontent key drift at fixture line {}.\n\
-             Every existing cache entry and journal would be orphaned by \
-             this change. If the simulator's semantics changed, bump \
-             SIM_VERSION (crates/engine/src/job.rs) and regenerate the \
-             fixture with UPDATE_GOLDEN_KEYS=1; if not, the \
-             canonicalisation or hash changed by accident — fix that \
-             instead.\n",
-            i + 1
-        );
+        assert_eq!(want, got, "\n{drift} (fixture line {})\n", i + 1);
     }
     assert_eq!(
         expected.lines().count(),
         actual.lines().count(),
-        "fixture and golden grid disagree on spec count — regenerate \
-         the fixture with UPDATE_GOLDEN_KEYS=1 after appending specs"
+        "fixture and golden grid disagree on line count — regenerate \
+         the fixture with {update_var}=1 after appending specs"
+    );
+}
+
+#[test]
+fn content_keys_match_committed_fixture() {
+    // One line per spec: `<key> <canonical>`.
+    let actual: String = golden_grid()
+        .iter()
+        .map(|s| format!("{} {}\n", s.key(), s.canonical()))
+        .collect();
+    assert_matches_fixture(
+        "golden_keys.txt",
+        "UPDATE_GOLDEN_KEYS",
+        &actual,
+        "content key drift. Every existing cache entry and journal would \
+         be orphaned by this change. If the simulator's semantics changed, \
+         bump SIM_VERSION (crates/engine/src/job.rs) and regenerate the \
+         fixture with UPDATE_GOLDEN_KEYS=1; if not, the canonicalisation \
+         or hash changed by accident — fix that instead.",
+    );
+}
+
+#[test]
+fn results_match_committed_fixture() {
+    // One line per spec and fidelity: `<fidelity> <grid index>
+    // <encoded result>`. The index, not the key, names the spec, so a
+    // version bump that moves no result leaves this fixture alone.
+    let mut actual = String::new();
+    for fidelity in [SimFidelity::Full, SimFidelity::Summary] {
+        for (i, spec) in golden_grid().into_iter().enumerate() {
+            let result = spec.with_fidelity(fidelity).execute();
+            actual.push_str(&format!("{fidelity} {i:02} {}\n", result.encode()));
+        }
+    }
+    assert_matches_fixture(
+        "golden_results.txt",
+        "UPDATE_GOLDEN_RESULTS",
+        &actual,
+        "results moved: bump SIM_VERSION / SUMMARY_SIM_VERSION \
+         (crates/engine/src/job.rs), or fix the regression",
     );
 }
 

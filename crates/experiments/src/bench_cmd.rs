@@ -1,7 +1,8 @@
 //! `repro bench`: a self-contained performance-regression harness.
 //!
-//! One invocation measures six numbers that bracket the repo's
-//! performance envelope and writes them as `BENCH_<n>.json` (plus a
+//! One invocation runs six phases that bracket the repo's performance
+//! envelope, rates them as seven gated throughputs (the hot loop
+//! yields two), and writes them as `BENCH_<n>.json` (plus a
 //! `BENCH_latest.json` alias for tooling):
 //!
 //! - **cold sweep** — the quick policy grid simulated from an empty
@@ -9,8 +10,7 @@
 //!   latency percentiles, and the per-stage self-time breakdown;
 //! - **warm sweep** — the same grid re-run against the now-populated
 //!   cache, once with the profiler off and once on. The wall-clock
-//!   delta is the *measured profiler overhead*, and the hit-service
-//!   histogram gives cache-probe latency percentiles;
+//!   delta is the *measured profiler overhead*;
 //! - **hot loop** — one MPEG cell under the paper's best policy run
 //!   back-to-back on the calling thread: simulator-core throughput
 //!   with no engine around it. Timed two ways (full fidelity, which
@@ -172,7 +172,7 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
     obs::span::set_enabled(false);
 
     // Phase 2: warm sweep. Profiler off first (the clean timing),
-    // then on (the overhead measurement + hit-service histogram).
+    // then on (the overhead measurement).
     let warm_engine = Engine::new(engine_config());
     let reps = cfg.warm_reps.max(1);
     let rounds = cfg.warm_rounds.max(1);
@@ -205,8 +205,6 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
     } else {
         0.0
     };
-    let hit_hist = warm.worker_metrics.log_histogram("cache_hit_service_us");
-    let hit_p = |q: f64| hit_hist.and_then(|h| h.percentile(q)).unwrap_or(0.0);
 
     // Phase 3: hot loop — the simulator core alone, single thread.
     // Timed two ways, each as a median of `hot_rounds` rounds: full
@@ -365,16 +363,6 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
     let _ = writeln!(json, "    \"wall_us_unprofiled\": {warm_plain_us},");
     let _ = writeln!(json, "    \"wall_us_profiled\": {warm_profiled_us},");
     let _ = writeln!(json, "    \"profiler_overhead_pct\": {overhead_pct:.3},");
-    let _ = writeln!(
-        json,
-        "    \"cache_hit_service_p50_us\": {:.6},",
-        hit_p(0.50)
-    );
-    let _ = writeln!(
-        json,
-        "    \"cache_hit_service_p99_us\": {:.6},",
-        hit_p(0.99)
-    );
     let _ = writeln!(
         json,
         "    \"cells_per_sec\": {:.6}",

@@ -14,9 +14,6 @@
 //! - [`logger`] — leveled, machine-readable stderr records replacing
 //!   ad-hoc `eprintln!`s. Verbosity is a process-wide switch
 //!   ([`set_verbosity`]) that `repro --quiet`/`-v` drives.
-//! - [`metrics`] — per-worker counters and log-bucketed histograms
-//!   (built on [`sim_core::LogHistogram`]) that merge associatively, so
-//!   a parallel batch aggregates without shared mutation.
 //! - [`run_metrics`] — the [`RunMetrics`] summary block written as
 //!   `metrics.json` next to each batch's results.
 //! - [`export`] — deterministic trace export: merged event streams
@@ -34,13 +31,14 @@
 //!   `repro --metrics-addr` turns it on.
 //! - [`watchdog`] — per-worker heartbeats and the stall watchdog that
 //!   warns, live, when a worker stops making progress.
+//! - [`host`] — host facts (CPU model, core count, kernel version) and
+//!   the process's peak RSS, for provenance and memory reports.
 
 pub mod event;
 pub mod export;
 pub mod exporter;
 pub mod host;
 pub mod logger;
-pub mod metrics;
 pub mod registry;
 pub mod run_metrics;
 pub mod span;
@@ -53,6 +51,5 @@ pub use export::{
 };
 pub use host::{core_count, cpu_model, kernel_version, peak_rss_bytes};
 pub use logger::{enabled, set_verbosity, verbosity, Level};
-pub use metrics::WorkerMetrics;
 pub use run_metrics::{PolicyMetrics, RunMetrics, StageMetrics};
 pub use span::{Profile, SpanGuard, SpanNode, SpanTree, ThreadSpans};

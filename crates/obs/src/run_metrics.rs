@@ -1,12 +1,13 @@
 //! The per-batch metrics summary written as `metrics.json`.
 //!
 //! [`RunMetrics`] is the operator-facing rollup the engine derives from
-//! [`BatchStats`-like counts plus merged worker metrics]: how much work
-//! the batch did, how much the cache absorbed, and how the simulated
-//! machines behaved (transition counts, dropped scheduler records).
+//! a run's counts (the engine's `BatchStats` or `StreamStats`) plus its
+//! workers' merged tallies: how much work the batch did, how much the
+//! cache absorbed, and how the simulated machines behaved (transition
+//! counts, dropped scheduler records).
 //!
 //! The JSON is hand-rolled like every other serializer in this
-//! workspace (the vendored `serde` is marker-traits only). Derived
+//! workspace (there is no `serde` dependency). Derived
 //! rates carry fixed six-digit precision so the file is byte-stable for
 //! a given set of inputs; wall-clock fields (`wall_us`, `jobs_per_sec`,
 //! `sim_per_wall`) are *not* deterministic across runs, which is why CI
@@ -118,22 +119,13 @@ impl RunMetrics {
     }
 
     /// Fills the per-job latency percentile fields from a log-bucketed
-    /// latency histogram (typically the merged workers'
-    /// `job_latency_us`). A `None`/empty histogram zeroes them.
-    pub fn set_job_latencies(&mut self, hist: Option<&sim_core::LogHistogram>) {
-        let (p50, p90, p99, max) = match hist {
-            Some(h) if h.count() > 0 => (
-                h.percentile(0.50).unwrap_or(0.0),
-                h.percentile(0.90).unwrap_or(0.0),
-                h.percentile(0.99).unwrap_or(0.0),
-                h.max().unwrap_or(0.0),
-            ),
-            _ => (0.0, 0.0, 0.0, 0.0),
-        };
-        self.job_latency_p50_us = p50;
-        self.job_latency_p90_us = p90;
-        self.job_latency_p99_us = p99;
-        self.job_latency_max_us = max;
+    /// latency histogram (the merged workers' job latencies). An empty
+    /// histogram zeroes them.
+    pub fn set_job_latencies(&mut self, hist: &sim_core::LogHistogram) {
+        self.job_latency_p50_us = hist.percentile(0.50).unwrap_or(0.0);
+        self.job_latency_p90_us = hist.percentile(0.90).unwrap_or(0.0);
+        self.job_latency_p99_us = hist.percentile(0.99).unwrap_or(0.0);
+        self.job_latency_max_us = hist.max().unwrap_or(0.0);
     }
 
     /// Fills the per-stage breakdown from `(stage, self_ns)` totals as
@@ -366,7 +358,7 @@ mod tests {
             h.record(v);
         }
         let mut m = sample();
-        m.set_job_latencies(Some(&h));
+        m.set_job_latencies(&h);
         assert!(m.job_latency_p50_us > 0.0);
         assert!(m.job_latency_p50_us <= m.job_latency_p90_us);
         assert!(m.job_latency_p90_us <= m.job_latency_p99_us);
@@ -375,7 +367,7 @@ mod tests {
         let json = m.to_json();
         assert!(json.contains("\"job_latency_p50_us\": "));
         assert!(json.contains("\"job_latency_max_us\": 100000.000000"));
-        m.set_job_latencies(None);
+        m.set_job_latencies(&sim_core::LogHistogram::new());
         assert_eq!(m.job_latency_max_us, 0.0);
     }
 

@@ -15,9 +15,9 @@
 //!    steady-state path, no cross-thread traffic until [`drain`].
 //! 2. **Share-nothing, merged per batch.** Every thread records into
 //!    its own buffer; the engine collects each worker's buffer through
-//!    its join handle (exactly like `WorkerMetrics`) and aggregates
-//!    them into a [`SpanTree`] after the batch — so profiling cannot
-//!    perturb scheduling or determinism.
+//!    its join handle (exactly like the workers' counter tallies) and
+//!    aggregates them into a [`SpanTree`] after the batch — so
+//!    profiling cannot perturb scheduling or determinism.
 //! 3. **Panic-correct.** Spans are scoped RAII guards: a job that
 //!    panics unwinds through its guards, so every enter gets its exit
 //!    recorded and the engine's `catch_unwind` retry path keeps the

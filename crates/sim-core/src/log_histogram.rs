@@ -371,8 +371,8 @@ mod tests {
     #[test]
     fn default_equals_new() {
         // The derived Default would zero min/max and corrupt merges
-        // (the `or_default()` path in obs::WorkerMetrics hit exactly
-        // that); pin the manual impl.
+        // (an `or_default()` map of histograms once hit exactly that);
+        // pin the manual impl.
         assert_eq!(LogHistogram::default(), LogHistogram::new());
         let mut via_default = LogHistogram::default();
         via_default.record(100.0);
