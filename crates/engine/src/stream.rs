@@ -7,7 +7,7 @@
 //! results are folded into a per-worker accumulator the moment they
 //! exist, then discarded. A healthy device sends nothing to the calling
 //! thread; only failure reports cross the bounded channel. The calling
-//! thread wakes every [`PROGRESS_INTERVAL`] to print progress from a
+//! thread wakes every `PROGRESS_INTERVAL` to print progress from a
 //! shared completion count, and the final `executed` count comes from
 //! the surviving workers' tallies, so it always matches the merged
 //! accumulator. Peak memory is
@@ -90,7 +90,7 @@ pub struct StreamOutcome<A> {
     pub acc: A,
     /// Counts and throughput.
     pub stats: StreamStats,
-    /// Up to [`MAX_RETAINED_FAILURES`] failure reports, in arrival
+    /// Up to `MAX_RETAINED_FAILURES` failure reports, in arrival
     /// order; `stats.failed` is the true count.
     pub failures: Vec<JobFailure>,
     /// Faults the configured plan actually injected.

@@ -1,6 +1,6 @@
 //! `repro fleet`: population simulation over the streaming engine.
 //!
-//! A thin CLI shim over [`fleet::run`]: builds the population from
+//! A thin CLI shim over [`fleet::run()`]: builds the population from
 //! `--devices`/`--seed`/`--device-secs`, streams it through the
 //! engine, prints the sketch digest, and persists the population
 //! summary under `results/fleet/`.

@@ -203,7 +203,7 @@ impl fmt::Display for Table2 {
 /// The §5.4 voltage-scaling decomposition: running MPEG at 132.7 MHz,
 /// how much does the 1.23 V rail cut core energy vs system energy?
 ///
-/// The paper: "A[n] 8% energy reduction occurs when we drop the
+/// The paper: "A\[n\] 8% energy reduction occurs when we drop the
 /// processor voltage to 1.23V — this is less than the 15% maximum
 /// reduction we measured because the application uses resources (e.g.
 /// audio) that are not affected by voltage scaling."

@@ -83,16 +83,6 @@ impl MemoryTiming {
         }
     }
 
-    /// Builds a timing table from explicit per-step costs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `costs` is empty.
-    pub fn from_costs(costs: Vec<(u32, u32)>) -> Self {
-        assert!(!costs.is_empty(), "memory timing needs at least one step");
-        MemoryTiming { costs }
-    }
-
     /// Number of steps covered.
     pub fn len(&self) -> usize {
         self.costs.len()

@@ -34,17 +34,6 @@ pub struct KernelConfig {
     pub record_power: bool,
     /// Stop early once an attached battery is exhausted.
     pub stop_when_battery_empty: bool,
-    /// The paper's kernel modification: "We set the counter to one each
-    /// time we schedule a process, forcing the scheduler to be called
-    /// every 10ms." When false, the stock Linux 2.0 behaviour applies:
-    /// a process runs until its counter (see
-    /// [`KernelConfig::default_counter`]) expires, so "a process can
-    /// run for several quanta before the scheduler is called".
-    pub force_schedule_every_tick: bool,
-    /// Ticks a process may run before preemption when
-    /// `force_schedule_every_tick` is off (Linux 2.0's DEF_PRIORITY is
-    /// ~20 ticks = 200 ms).
-    pub default_counter: u32,
     /// Collect a structured event trace (quantum boundaries, policy
     /// decisions, clock/voltage transitions, scheduling picks) into
     /// [`KernelReport::trace`]. Off by default: the bulk experiment
@@ -67,14 +56,14 @@ pub struct KernelConfig {
     /// What the run must materialize. [`SimFidelity::Full`] (the
     /// default) records per-tick series, the scheduler log and the
     /// power trace exactly as always. [`SimFidelity::Summary`] skips
-    /// all per-tick emission: uniform spans commit in O(1) per span,
-    /// means come from exact integer accumulators
-    /// ([`KernelReport::ticks`] and friends), and energy flows through
-    /// a compensated [`SpanEnergy`] accumulator. Integer accounting,
-    /// policy decision sequences, deadline outcomes and final battery
-    /// state stay bit-identical to a Full run (the differential suite
-    /// proves it); only series-derived floats differ, within the bound
-    /// documented in DESIGN.md §9. Orthogonal to
+    /// all per-tick emission: means come from exact integer
+    /// accumulators ([`KernelReport::ticks`] and friends), and energy
+    /// flows through a compensated [`SpanEnergy`] accumulator, one term
+    /// per uniform span. Integer accounting, policy decision sequences,
+    /// deadline outcomes and final battery state stay bit-identical to
+    /// a Full run (the differential suite proves it); only
+    /// series-derived floats differ, within the bound documented in
+    /// DESIGN.md §9. Orthogonal to
     /// [`KernelConfig::reference`]: a Summary+reference run ticks
     /// through the oracle loop while still skipping emission.
     pub fidelity: SimFidelity,
@@ -93,8 +82,6 @@ impl Default for KernelConfig {
             log_sched: true,
             record_power: true,
             stop_when_battery_empty: false,
-            force_schedule_every_tick: true,
-            default_counter: 20,
             trace: false,
             sched_log_capacity: None,
             reference: false,
@@ -191,7 +178,6 @@ struct TaskState {
     run: RunState,
     status: Status,
     cpu_time: SimDuration,
-    counter: u32,
 }
 
 /// Reusable allocation pool for repeated kernel runs.
@@ -356,13 +342,11 @@ impl Kernel {
     /// Spawns a task; pids start at 1 (0 is the idle task).
     pub fn spawn(&mut self, behavior: Box<dyn TaskBehavior>) -> Pid {
         let pid = (self.tasks.len() + 1) as Pid;
-        let counter = self.config.default_counter.max(1);
         self.tasks.push(TaskState {
             behavior,
             run: RunState::NeedsAction,
             status: Status::Ready,
             cpu_time: SimDuration::ZERO,
-            counter,
         });
         self.runqueue.push_back(pid);
         pid
@@ -371,16 +355,6 @@ impl Kernel {
     /// Installs the clock-scaling policy module.
     pub fn install_policy(&mut self, policy: Box<dyn ClockPolicy>) {
         self.policy = Some(policy);
-    }
-
-    /// Immutable access to the machine (e.g. to pre-set GPIO state).
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
-    /// Mutable access to the machine.
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
     }
 
     fn task(&mut self, pid: Pid) -> &mut TaskState {
@@ -721,25 +695,12 @@ impl Kernel {
                 ls.freq_mhz.push(now, self.machine.cpu.freq().as_mhz_f64());
             }
 
-            // Scheduler entry. With the paper's modification the
-            // counter is forced to 1, so every tick preempts; stock
-            // Linux 2.0 lets the counter run down first.
-            let force = self.config.force_schedule_every_tick;
-            let default_counter = self.config.default_counter.max(1);
-            if let Some(pid) = self.current {
-                let t = self.task(pid);
-                let expired = if force {
-                    true
-                } else {
-                    t.counter = t.counter.saturating_sub(1);
-                    t.counter == 0
-                };
-                if expired {
-                    t.counter = default_counter;
-                    self.current = None;
-                    if self.task(pid).status == Status::Ready {
-                        self.runqueue.push_back(pid);
-                    }
+            // Scheduler entry on every tick: the paper's patch sets the
+            // counter to one "forcing the scheduler to be called every
+            // 10ms", so the current task always goes back on the queue.
+            if let Some(pid) = self.current.take() {
+                if self.task(pid).status == Status::Ready {
+                    self.runqueue.push_back(pid);
                 }
             }
             self.pick_current(now);
@@ -778,10 +739,12 @@ impl Kernel {
     }
 
     /// The Summary fast path: detects a uniform span starting at the
-    /// current (tick-aligned) time and commits it in closed form. It
-    /// delivers the span's time accounting, per-task CPU, preemption
-    /// counter and frequency samples exactly as the tick loop would,
-    /// and its energy as one compensated term per span.
+    /// current (tick-aligned) time and commits it at once. One loop
+    /// walks the span's quanta for what is genuinely per-tick (work
+    /// remainders, battery drain and the policy, which sees every tick
+    /// as it does on the tick loop); the span's time accounting,
+    /// per-task CPU and frequency samples land as exact integer terms,
+    /// and its energy as one compensated term.
     ///
     /// Returns `true` if it consumed at least one whole quantum (the
     /// caller re-enters the loop), `false` to fall back to
@@ -858,25 +821,11 @@ impl Kernel {
             ls.power_cache
                 .get(&self.machine.power, mode, freq, self.machine.cpu.voltage());
         let p = core_p + ls.peripheral;
-        let force = self.config.force_schedule_every_tick;
-        let default_counter = self.config.default_counter.max(1);
-        let has_battery = self.machine.battery.is_some();
-        // A memoryless policy that answered one uniform tick with a
-        // machine no-op answers every identical tick the same way and
-        // ends the span in the same state, so the remaining calls are
-        // elided.
-        let elide_policy = self
-            .policy
-            .as_ref()
-            .is_none_or(|policy| policy.is_memoryless());
-        let mut policy_settled = false;
 
-        // Nothing per-tick is emitted, so a quantum only needs real
-        // execution when something genuinely per-tick remains:
-        // order-dependent `Work` remainders, battery smoothing state, or
-        // a policy that must observe each tick. Pure idle/spin spans
-        // with an absent or settled memoryless policy cost O(1)
-        // regardless of length.
+        // Nothing per-tick is emitted, but every quantum still runs:
+        // `Work` remainders are order-dependent, a battery smooths its
+        // draw, and the policy observes every tick as it does on the
+        // tick loop.
         let mut w_left = match kind {
             SpanKind::Work(_, w) => w,
             _ => Work::ZERO,
@@ -884,50 +833,30 @@ impl Kernel {
         let mut executed: u64 = 0; // quanta fully accounted
         let mut span_over = false; // policy changed the machine
         let mut energy_quanta: u64 = 0; // quanta owing energy
-        let needs_tick_loop = matches!(kind, SpanKind::Work(..))
-            || has_battery
-            || (self.policy.is_some() && !elide_policy);
-        if needs_tick_loop {
-            while executed < max && !span_over {
-                let t_k = SimTime::from_micros(start_us + (executed + 1) * q_us);
-                if let SpanKind::Work(..) = kind {
-                    match w_left.execute_for(ls.quantum, step, freq, &self.machine.mem) {
-                        itsy_hw::WorkProgress::Completed(_) => break, // tick loop finishes it
-                        itsy_hw::WorkProgress::Remaining(rest) => w_left = rest,
-                    }
-                }
-                energy_quanta += 1;
-                if has_battery {
-                    let batt = self.machine.battery.as_mut().expect("checked above");
-                    batt.drain(p, ls.quantum);
-                    if self.config.stop_when_battery_empty && batt.is_empty() {
-                        // Same cut as the tick loop: the emptying
-                        // quantum draws energy but adds no time.
-                        ls.now = t_k;
-                        ls.stopped = true;
-                        break;
-                    }
-                }
-                executed += 1;
-                if let Some(policy) = self.policy.as_mut() {
-                    if !(policy_settled && elide_policy) {
-                        let req = policy.on_interval(t_k, util, step);
-                        span_over = self.apply_request(req, t_k, ls);
-                        policy_settled = !span_over;
-                    }
+        while executed < max && !span_over {
+            let t_k = SimTime::from_micros(start_us + (executed + 1) * q_us);
+            if let SpanKind::Work(..) = kind {
+                match w_left.execute_for(ls.quantum, step, freq, &self.machine.mem) {
+                    itsy_hw::WorkProgress::Completed(_) => break, // tick loop finishes it
+                    itsy_hw::WorkProgress::Remaining(rest) => w_left = rest,
                 }
             }
-        } else {
-            // O(1) path: probe the (memoryless) policy once — its
-            // answer to one uniform tick is its answer to all of them —
-            // then commit every remaining quantum at once.
+            energy_quanta += 1;
+            if let Some(batt) = self.machine.battery.as_mut() {
+                batt.drain(p, ls.quantum);
+                if self.config.stop_when_battery_empty && batt.is_empty() {
+                    // Same cut as the tick loop: the emptying quantum
+                    // draws energy but adds no time.
+                    ls.now = t_k;
+                    ls.stopped = true;
+                    break;
+                }
+            }
+            executed += 1;
             if let Some(policy) = self.policy.as_mut() {
-                let t_1 = SimTime::from_micros(start_us + q_us);
-                let req = policy.on_interval(t_1, util, step);
-                span_over = self.apply_request(req, t_1, ls);
+                let req = policy.on_interval(t_k, util, step);
+                span_over = self.apply_request(req, t_k, ls);
             }
-            executed = if span_over { 1 } else { max };
-            energy_quanta = executed;
         }
 
         if executed == 0 && !ls.stopped {
@@ -977,30 +906,6 @@ impl Kernel {
                 ls.totals.spun += span_total;
                 ls.util_sum_us += executed * q_us;
                 self.tasks[(pid - 1) as usize].cpu_time += span_total;
-            }
-        }
-        // Preemption counter in closed form: forced scheduling resets it
-        // every tick; otherwise it decrements per tick and wraps through
-        // `default_counter` on expiry.
-        if executed > 0 {
-            if let SpanKind::Work(pid, _) | SpanKind::Spin(pid, _) = kind {
-                let t = &mut self.tasks[(pid - 1) as usize];
-                t.counter = if force {
-                    default_counter
-                } else {
-                    let c0 = u64::from(t.counter.max(1));
-                    let dc = u64::from(default_counter);
-                    if executed < c0 {
-                        (c0 - executed) as u32
-                    } else {
-                        let r = (executed - c0) % dc;
-                        if r == 0 {
-                            default_counter
-                        } else {
-                            (dc - r) as u32
-                        }
-                    }
-                };
             }
         }
         true
@@ -1057,12 +962,6 @@ impl Kernel {
             timeline: ls.timeline.map(|t| t.samples()).unwrap_or_default(),
         }
     }
-}
-
-/// Convenience: the step index of a frequency in the SA-1100 table.
-pub fn sa1100_step_of_mhz(mhz: f64) -> StepIndex {
-    let table = itsy_hw::ClockTable::sa1100();
-    table.step_at_least(sim_core::Frequency::from_khz((mhz * 1000.0) as u32))
 }
 
 #[cfg(test)]
@@ -1321,49 +1220,6 @@ mod tests {
     }
 
     #[test]
-    fn classic_counter_scheduling_runs_longer_slices() {
-        // Stock Linux 2.0: "a process can run for several quanta before
-        // the scheduler is called". With two busy tasks and a counter
-        // of 20, context switches happen every ~200 ms instead of every
-        // tick.
-        let run = |force: bool| {
-            let mut k = Kernel::new(
-                Machine::itsy(10, DeviceSet::NONE),
-                KernelConfig {
-                    duration: SimDuration::from_secs(2),
-                    force_schedule_every_tick: force,
-                    ..KernelConfig::default()
-                },
-            );
-            k.spawn(busy_forever());
-            k.spawn(busy_forever());
-            k.run()
-        };
-        let forced = run(true);
-        let classic = run(false);
-        // Context switches = sched-log entries (one per pick).
-        assert!(
-            forced.sched_log.len() > classic.sched_log.len() * 5,
-            "forced {} vs classic {}",
-            forced.sched_log.len(),
-            classic.sched_log.len()
-        );
-        // Fairness and utilization are unaffected.
-        assert_eq!(classic.busy, SimDuration::from_secs(2));
-        let a = classic.per_task_cpu[0].2.as_secs_f64();
-        let b = classic.per_task_cpu[1].2.as_secs_f64();
-        assert!((a / b - 1.0).abs() < 0.15, "unfair: {a} vs {b}");
-        // Classic slices are ~20 ticks: consecutive same-pid log gaps.
-        let recs = classic.sched_log.records();
-        let gaps: Vec<u64> = recs.windows(2).map(|w| w[1].at_us - w[0].at_us).collect();
-        let mean_gap = gaps.iter().sum::<u64>() as f64 / gaps.len().max(1) as f64;
-        assert!(
-            (150_000.0..=260_000.0).contains(&mean_gap),
-            "mean slice = {mean_gap}us"
-        );
-    }
-
-    #[test]
     fn per_task_accounting_adds_up() {
         let mut k = Kernel::new(Machine::itsy(10, DeviceSet::NONE), config(1));
         k.spawn(busy_forever());
@@ -1607,35 +1463,6 @@ mod tests {
         assert_eq!(batched.freq_khz_sum, reference.freq_khz_sum);
         assert_eq!(batched.clock_switches, reference.clock_switches);
         assert_eq!(batched.per_task_cpu, reference.per_task_cpu);
-    }
-
-    #[test]
-    fn summary_classic_counter_state_matches_reference() {
-        // force_schedule_every_tick = false exercises the closed-form
-        // preemption counter; per-task CPU shares must still match the
-        // reference bit-for-bit.
-        let run = |reference: bool| {
-            let mut k = Kernel::new(
-                Machine::itsy(10, DeviceSet::NONE),
-                KernelConfig {
-                    duration: SimDuration::from_secs(2),
-                    force_schedule_every_tick: false,
-                    reference,
-                    fidelity: SimFidelity::Summary,
-                    ..KernelConfig::default()
-                },
-            );
-            k.spawn(busy_forever());
-            k.spawn(Box::new(FnBehavior::new("sleeper", |ctx| {
-                TaskAction::SleepUntil(ctx.now + SimDuration::from_millis(70))
-            })));
-            k.run()
-        };
-        let batched = run(false);
-        let reference = run(true);
-        assert_eq!(batched.per_task_cpu, reference.per_task_cpu);
-        assert_eq!(batched.busy, reference.busy);
-        assert_eq!(batched.ticks, reference.ticks);
     }
 
     #[test]

@@ -84,13 +84,6 @@ impl ClockPolicy for Ondemand {
         }
     }
 
-    fn is_memoryless(&self) -> bool {
-        // Pure in (load, current_step): no history, no counters, and
-        // the target is stable under repetition (a load that keeps the
-        // governor at `target` recomputes the same `target`).
-        true
-    }
-
     fn name(&self) -> String {
         format!("ondemand(up {:.0}%)", self.up_threshold * 100.0)
     }
@@ -142,14 +135,6 @@ impl ClockPolicy for Conservative {
             step: (target != current_step).then_some(target),
             voltage: None,
         }
-    }
-
-    fn is_memoryless(&self) -> bool {
-        // Stateless: each decision reads only (load, current_step).
-        // Creeping still works under span elision because the kernel
-        // only elides calls after a settled *no-op* decision — any
-        // step-up/down ends the span and re-enters the policy.
-        true
     }
 
     fn name(&self) -> String {
@@ -208,14 +193,8 @@ mod tests {
     }
 
     #[test]
-    fn governors_are_memoryless_with_unit_stride() {
-        // All three cpufreq governors are pure in (load, step): the
-        // kernel's Summary span path may elide repeated identical calls.
-        let o = Ondemand::new(table());
-        let c = Conservative::new(table());
-        assert!(o.is_memoryless());
-        assert!(c.is_memoryless());
-        // Witness the idempotence claim directly.
+    fn ondemand_repeats_its_answer_to_a_repeated_interval() {
+        // Pure in (load, step): the same interval gets the same answer.
         let mut g = Ondemand::new(table());
         let first = g.on_interval(SimTime::ZERO, 0.40, 10);
         for _ in 0..5 {
@@ -283,11 +262,6 @@ impl ClockPolicy for Schedutil {
         }
     }
 
-    fn is_memoryless(&self) -> bool {
-        // Pure in (utilization, current_step); repetition is idempotent.
-        true
-    }
-
     fn name(&self) -> String {
         format!("schedutil(headroom {:.2})", self.headroom)
     }
@@ -317,12 +291,6 @@ mod schedutil_tests {
         // 132.7 MHz at 75% busy: needed = 1.25*99.5 = 124.4 -> 132.7.
         let req = g.on_interval(SimTime::ZERO, 0.75, 5);
         assert_eq!(req.step, None);
-    }
-
-    #[test]
-    fn schedutil_is_memoryless() {
-        let g = Schedutil::new(ClockTable::sa1100());
-        assert!(g.is_memoryless());
     }
 
     #[test]

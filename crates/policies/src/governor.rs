@@ -97,9 +97,10 @@ pub trait ClockPolicy {
     /// [`obs::EventKind::PolicyDecision`] event into `trace`.
     ///
     /// The default implementation reports the raw utilization as the
-    /// weighted value, which is correct for memoryless policies;
-    /// predictor-backed policies override to expose the predictor's
-    /// state (the quantity the hysteresis band actually compares).
+    /// weighted value, which is correct for policies without a
+    /// predictor; predictor-backed policies override to expose the
+    /// predictor's state (the quantity the hysteresis band actually
+    /// compares).
     fn on_interval_traced(
         &mut self,
         now: SimTime,
@@ -110,18 +111,6 @@ pub trait ClockPolicy {
         let req = self.on_interval(now, utilization, current_step);
         emit_decision(trace, now, utilization, utilization, current_step, req);
         req
-    }
-
-    /// True when the decision is a pure function of `(utilization,
-    /// current_step)` and observing the same utilization repeatedly is
-    /// idempotent — i.e. calling [`ClockPolicy::on_interval`] N times
-    /// with identical arguments is indistinguishable from calling it
-    /// once. The kernel's Summary span path uses this to elide repeated
-    /// identical calls across a uniform span; any policy with
-    /// interval-counting or history state must leave this `false` (the
-    /// safe default).
-    fn is_memoryless(&self) -> bool {
-        false
     }
 
     /// Name used in reports.
@@ -225,11 +214,6 @@ impl IntervalScheduler {
         )
     }
 
-    /// The current weighted utilization (reporting).
-    pub fn weighted_utilization(&self) -> f64 {
-        self.predictor.current()
-    }
-
     /// The hysteresis band in force.
     pub fn hysteresis(&self) -> Hysteresis {
         self.hysteresis
@@ -269,13 +253,6 @@ impl ClockPolicy for IntervalScheduler {
         let weighted = self.predictor.current();
         emit_decision(trace, now, utilization, weighted, current_step, req);
         req
-    }
-
-    fn is_memoryless(&self) -> bool {
-        // The scheduler itself holds no per-interval state beyond the
-        // predictor, and `now` is unused, so memorylessness is exactly
-        // the predictor's.
-        self.predictor.is_memoryless()
     }
 
     fn name(&self) -> String {
@@ -318,10 +295,6 @@ impl ClockPolicy for ConstantPolicy {
             step: (current != self.step).then_some(self.step),
             voltage: Some(self.voltage),
         }
-    }
-
-    fn is_memoryless(&self) -> bool {
-        true
     }
 
     fn name(&self) -> String {
@@ -431,21 +404,6 @@ mod tests {
         );
         let req = p.on_interval(SimTime::ZERO, 0.5, 3);
         assert_eq!(req.step, Some(5));
-    }
-
-    #[test]
-    fn stride_defaults_to_every_tick() {
-        // Predictor-backed schedulers consume every interval, so a
-        // stateful (AVG_N) composition must not let the kernel elide
-        // repeated calls.
-        let avg = IntervalScheduler::new(
-            Box::new(AvgN::new(3)),
-            Hysteresis::PERING,
-            SpeedChange::One,
-            SpeedChange::One,
-            ClockTable::sa1100(),
-        );
-        assert!(!avg.is_memoryless());
     }
 
     #[test]

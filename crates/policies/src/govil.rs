@@ -51,12 +51,6 @@ impl Predictor for Flat {
         self.level
     }
 
-    fn reset(&mut self) {}
-
-    fn is_memoryless(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> String {
         format!("FLAT_{:.0}", self.level * 100.0)
     }
@@ -127,10 +121,6 @@ impl Predictor for LongShort {
         (self.short_weight * short + long) / (self.short_weight + 1.0)
     }
 
-    fn reset(&mut self) {
-        self.history.clear();
-    }
-
     fn name(&self) -> String {
         format!("LONG_SHORT_{}_{}", self.short_n, self.long_n)
     }
@@ -181,11 +171,6 @@ impl Predictor for AgedAverage {
         } else {
             self.weighted / self.norm
         }
-    }
-
-    fn reset(&mut self) {
-        self.weighted = 0.0;
-        self.norm = 0.0;
     }
 
     fn name(&self) -> String {
@@ -277,10 +262,6 @@ impl Predictor for Cycle {
         }
     }
 
-    fn reset(&mut self) {
-        self.history.clear();
-    }
-
     fn name(&self) -> String {
         "CYCLE".to_string()
     }
@@ -351,10 +332,6 @@ impl Predictor for Pattern {
         self.fallback()
     }
 
-    fn reset(&mut self) {
-        self.history.clear();
-    }
-
     fn name(&self) -> String {
         "PATTERN".to_string()
     }
@@ -394,12 +371,6 @@ impl Predictor for Peak {
             // Falling or flat: follow it down.
             self.last
         }
-    }
-
-    fn reset(&mut self) {
-        self.prev = 0.0;
-        self.last = 0.0;
-        self.seen = 0;
     }
 
     fn name(&self) -> String {
@@ -563,7 +534,6 @@ mod tests {
                 let w = p.observe(u);
                 assert!((0.0..=1.0).contains(&w), "{} produced {w}", p.name());
             }
-            p.reset();
             assert!((0.0..=1.0).contains(&p.current()));
         }
     }

@@ -22,20 +22,6 @@ pub trait Predictor {
     /// The current prediction without new input.
     fn current(&self) -> f64;
 
-    /// Resets internal history to the just-booted state.
-    fn reset(&mut self);
-
-    /// True when [`Predictor::observe`] is idempotent: feeding the same
-    /// utilization twice leaves the predictor in the same state and
-    /// returns the same prediction as feeding it once. PAST is the
-    /// canonical example (`W_t = U_{t-1}` — no history survives one
-    /// observation). The kernel's Summary span path uses this to elide
-    /// repeated identical policy calls inside a uniform span; predictors
-    /// that accumulate history (AVG_N, windows) must leave this `false`.
-    fn is_memoryless(&self) -> bool {
-        false
-    }
-
     /// Human-readable name for reports (e.g. `AVG_9`).
     fn name(&self) -> String;
 }
@@ -63,14 +49,6 @@ impl Predictor for Past {
 
     fn current(&self) -> f64 {
         self.last
-    }
-
-    fn reset(&mut self) {
-        self.last = 0.0;
-    }
-
-    fn is_memoryless(&self) -> bool {
-        true
     }
 
     fn name(&self) -> String {
@@ -123,10 +101,6 @@ impl Predictor for AvgN {
         self.weighted
     }
 
-    fn reset(&mut self) {
-        self.weighted = 0.0;
-    }
-
     fn name(&self) -> String {
         format!("AVG_{}", self.n)
     }
@@ -172,10 +146,6 @@ impl Predictor for SlidingWindowAvg {
         }
     }
 
-    fn reset(&mut self) {
-        self.window.clear();
-    }
-
     fn name(&self) -> String {
         format!("WIN_{}", self.n)
     }
@@ -191,8 +161,6 @@ mod tests {
         assert_eq!(p.current(), 0.0);
         assert_eq!(p.observe(0.8), 0.8);
         assert_eq!(p.observe(0.1), 0.1);
-        p.reset();
-        assert_eq!(p.current(), 0.0);
     }
 
     #[test]

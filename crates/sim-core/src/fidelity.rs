@@ -29,9 +29,10 @@ pub enum SimFidelity {
     Full,
     /// Record only run summaries: integer mode accounting, switch and
     /// deadline counters, closed-form means, compensated energy
-    /// totals. No `TimeSeries` is emitted and uniform spans may be
-    /// committed in O(1) instead of O(ticks). Specs carrying this mode
-    /// key under SIM_VERSION 4.
+    /// totals. No `TimeSeries` is emitted, and a uniform span commits
+    /// its energy as one term instead of one per segment; the policy
+    /// still observes every tick. Specs carrying this mode key under
+    /// the engine's `SUMMARY_SIM_VERSION`.
     Summary,
 }
 

@@ -16,16 +16,17 @@
 //! aggregation, so its entire state is exact and order-independent:
 //! bucket counts are integers, the running sum is fixed-point (an
 //! `i128` of 2⁻²⁰ units), and min/max update under IEEE total order.
-//! Consequently [`merge`](Self::merge) is associative and commutative
-//! *bit-for-bit* — sharding a sample stream across any number of
-//! workers and merging the shards in any order yields a histogram
-//! byte-identical ([`encode`](Self::encode)) to single-threaded
-//! recording. A proptest in `tests/log_histogram.rs` pins this.
+//! Consequently [`merge`](LogHistogram::merge) is associative and
+//! commutative *bit-for-bit* — sharding a sample stream across any
+//! number of workers and merging the shards in any order yields a
+//! histogram byte-identical ([`encode`](LogHistogram::encode)) to
+//! single-threaded recording. A proptest in `tests/log_histogram.rs`
+//! pins this.
 //!
-//! The price is that [`sum`](Self::sum) (and therefore
-//! [`mean`](Self::mean)) quantizes each sample to the fixed-point grid
-//! (absolute error ≤ 2⁻²¹ per sample), which is far below the bucket
-//! resolution everything downstream consumes.
+//! The price is that [`sum`](LogHistogram::sum) (and therefore
+//! [`mean`](LogHistogram::mean)) quantizes each sample to the
+//! fixed-point grid (absolute error ≤ 2⁻²¹ per sample), which is far
+//! below the bucket resolution everything downstream consumes.
 //!
 //! # Storage
 //!

@@ -175,11 +175,6 @@ impl Energy {
         Energy(j)
     }
 
-    /// Creates an energy from a millijoule value.
-    pub fn from_millijoules(mj: f64) -> Self {
-        Energy::from_joules(mj / 1_000.0)
-    }
-
     /// The energy in joules.
     pub const fn as_joules(self) -> f64 {
         self.0

@@ -1,7 +1,7 @@
 //! Differential proof for the kernel's two loops.
 //!
 //! Full fidelity runs every quantum through the tick-by-tick loop.
-//! Summary fidelity skips provably-uniform spans and commits each in
+//! Summary fidelity commits each provably-uniform span at once, in
 //! closed form ([`KernelConfig::reference`] = `false`, the default),
 //! keeping the tick loop as its oracle (`reference` = `true`). These
 //! tests hold:
@@ -27,8 +27,8 @@
 //!   the browse + Java-poller ablation, the elastic MPEG player, and
 //!   the synthetic square wave);
 //! - hardware variants (scaled power models, batteries, odd quanta)
-//!   and kernel configuration variants (classic Linux 2.0 counter
-//!   scheduling, capped or disabled logs, battery cut-off);
+//!   and kernel configuration variants (capped or disabled logs,
+//!   battery cut-off);
 //! - randomized task soups (proptest) mixing compute, sleep, spin and
 //!   exit with random power-model constants.
 //!
@@ -346,14 +346,6 @@ fn odd_quantum_is_bit_identical() {
 fn kernel_config_variants_are_bit_identical() {
     let variants: Vec<(&str, KernelConfig)> = vec![
         ("default", KernelConfig::default()),
-        (
-            "classic counter scheduling",
-            KernelConfig {
-                force_schedule_every_tick: false,
-                default_counter: 3,
-                ..KernelConfig::default()
-            },
-        ),
         (
             "logs off",
             KernelConfig {
@@ -757,9 +749,7 @@ struct Call {
     req: PolicyRequest,
 }
 
-/// Wraps a policy and logs every `on_interval` delivery. Forwards the
-/// memoryless contract so the kernel treats the wrapper exactly like
-/// the inner policy.
+/// Wraps a policy and logs every `on_interval` delivery.
 struct Recording {
     inner: Box<dyn ClockPolicy>,
     log: Rc<RefCell<Vec<Call>>>,
@@ -782,27 +772,16 @@ impl ClockPolicy for Recording {
         req
     }
 
-    fn is_memoryless(&self) -> bool {
-        self.inner.is_memoryless()
-    }
-
     fn name(&self) -> String {
         self.inner.name()
     }
 }
 
-/// True when `sub` appears, in order, within `all`.
-fn is_subsequence(sub: &[Call], all: &[Call]) -> bool {
-    let mut it = all.iter();
-    sub.iter().all(|c| it.any(|a| a == c))
-}
-
-/// The observation contract behind summary skipping: a stateful policy
-/// sees the *exact* tick stream the Full reference loop delivers (same
-/// times, same utilizations, same answers), while a memoryless policy's
-/// deliveries are an in-order subsequence of it (settled no-op calls
-/// are elided, never altered or invented) — and either way the machine
-/// ends in the same state.
+/// The observation contract between the kernel's loops: at Summary
+/// fidelity every policy sees the *exact* tick stream the Full
+/// reference loop delivers (same times, same utilizations, same
+/// answers), whether a tick runs on the tick loop or inside a uniform
+/// span, and the machine ends in the same state.
 #[test]
 fn summary_policies_observe_the_reference_tick_stream() {
     for policy in policy_matrix() {
@@ -838,18 +817,10 @@ fn summary_policies_observe_the_reference_tick_stream() {
             !full_calls.is_empty(),
             "{name}: reference delivered no ticks"
         );
-        if policy.build(ClockTable::sa1100()).is_memoryless() {
-            assert!(!sum_calls.is_empty(), "{name}: summary elided every call");
-            assert!(
-                is_subsequence(&sum_calls, &full_calls),
-                "{name}: summary delivered a call the reference never made"
-            );
-        } else {
-            assert_eq!(
-                sum_calls, full_calls,
-                "{name}: stateful policies must observe every tick"
-            );
-        }
+        assert_eq!(
+            sum_calls, full_calls,
+            "{name}: every policy must observe every tick"
+        );
     }
 }
 
