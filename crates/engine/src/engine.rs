@@ -142,16 +142,6 @@ pub struct BatchStats {
     pub elapsed_us: u64,
 }
 
-impl BatchStats {
-    /// Simulated cells per wall-clock second. Shares
-    /// [`sim_core::rate_per_sec`] with `RunMetrics::jobs_per_sec`
-    /// (which rates *total* cells, cached ones included) — one rate
-    /// definition, two numerators.
-    pub fn cells_per_sec(&self) -> f64 {
-        sim_core::rate_per_sec(self.executed as u64, self.elapsed_us)
-    }
-}
-
 /// Why one cell produced no result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobFailure {

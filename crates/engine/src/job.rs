@@ -229,12 +229,6 @@ impl JobSpec {
         self
     }
 
-    /// Overrides the initial clock step.
-    pub fn starting_at(mut self, step: StepIndex) -> Self {
-        self.initial_step = step;
-        self
-    }
-
     /// Overrides the simulation fidelity.
     pub fn with_fidelity(mut self, fidelity: SimFidelity) -> Self {
         self.fidelity = fidelity;

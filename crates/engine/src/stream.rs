@@ -74,8 +74,9 @@ pub struct StreamStats {
 }
 
 impl StreamStats {
-    /// Completed device simulations per wall-clock second — the number
-    /// the BENCH gate tracks as `fleet_devices_per_sec`.
+    /// Completed device simulations per wall-clock second. perfbench's
+    /// `fleet` workload rates the same stream as `jobs_per_s`, which the
+    /// perfbench-smoke CI job gates.
     pub fn devices_per_sec(&self) -> f64 {
         sim_core::rate_per_sec(self.executed, self.elapsed_us)
     }

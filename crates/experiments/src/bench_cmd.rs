@@ -1,16 +1,10 @@
-//! `repro bench`: a self-contained performance-regression harness.
+//! `repro bench`: a self-contained performance-regression harness for
+//! the paths the repository benchmark has no workload for.
 //!
-//! One invocation runs six phases that bracket the repo's performance
-//! envelope, rates them as seven gated throughputs (the hot loop
-//! yields two), and writes them as `BENCH_<n>.json` (plus a
-//! `BENCH_latest.json` alias for tooling):
+//! One invocation runs three phases, rates them as four gated
+//! throughputs (the hot loop yields two), and writes them as
+//! `BENCH_<n>.json` (plus a `BENCH_latest.json` alias for tooling):
 //!
-//! - **cold sweep** — the quick policy grid simulated from an empty
-//!   cache with the span profiler on: end-to-end throughput, job
-//!   latency percentiles, and the per-stage self-time breakdown;
-//! - **warm sweep** — the same grid re-run against the now-populated
-//!   cache, once with the profiler off and once on. The wall-clock
-//!   delta is the *measured profiler overhead*;
 //! - **hot loop** — one MPEG cell under the paper's best policy run
 //!   back-to-back on the calling thread: simulator-core throughput
 //!   with no engine around it. Timed two ways (full fidelity, which
@@ -19,13 +13,14 @@
 //!   scheduler hiccup cannot sink the measured speedup;
 //! - **trace export** — the `avgn` scenario's structured-event
 //!   export, rated in events per second;
-//! - **fleet stream** — a seeded device population pushed through
-//!   [`engine::Engine::run_stream`], rated in devices per second (the
-//!   streaming path's end-to-end throughput, including population
-//!   generation and sketch folding);
 //! - **optgap** — the optimality-gap suite ([`crate::optgap_cmd`]):
 //!   trace recording, YDS critical intervals, and the online canon,
 //!   rated in result rows per second.
+//!
+//! The fleet stream and the cold and warm sweeps are timed by
+//! `perfbench/` (the benchmark of record), whose `jobs_per_s` the
+//! perfbench-smoke CI job gates against the `"perfbench_jobs_per_s"`
+//! floors in `BENCH_baseline.json`.
 //!
 //! The report's flat `"gate"` object holds the throughput numbers.
 //! `repro bench --baseline <file>` re-reads a previous
@@ -33,10 +28,6 @@
 //! more than `--bench-tolerance` percent — wall-clock throughput is
 //! machine-dependent, so baselines only travel within one machine
 //! (or a deliberately conservative checked-in floor, as CI uses).
-//!
-//! `run` owns the global profiling flag for its duration (on for the
-//! instrumented phases, off for the timing-only ones) and leaves it
-//! disabled.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -44,23 +35,19 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use engine::{Engine, EngineConfig, JobSpec, WorkloadSpec};
+use engine::{JobSpec, WorkloadSpec};
 use policies::PolicyDesc;
 use sim_core::{rate_per_sec, SimFidelity};
 use workloads::Benchmark;
 
-use crate::{sweep, trace_exp};
+use crate::trace_exp;
 
 /// Knobs for one bench run. `Default` is the real harness; tests
-/// shrink the grid and iteration counts.
+/// shrink the iteration counts.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
     /// Simulation seed (shared by every phase).
     pub seed: u64,
-    /// Engine worker threads; `0` means one per core.
-    pub jobs: usize,
-    /// The sweep grid both cache phases run.
-    pub grid: sweep::SweepConfig,
     /// Back-to-back single-thread simulations in the hot loop.
     pub hot_iters: u32,
     /// Simulated seconds per hot-loop iteration.
@@ -70,45 +57,21 @@ pub struct BenchConfig {
     /// noise — medians of several rounds keep a preempted round from
     /// moving the throughputs and `summary_speedup_vs_reference`.
     pub hot_rounds: u32,
-    /// Warm-sweep repetitions per profiler state (minimum wall time
-    /// is reported, the usual noise floor for micro wall clocks).
-    pub warm_reps: u32,
-    /// Consecutive warm batches timed as one repetition. A single
-    /// all-hit batch finishes in well under a millisecond — far too
-    /// little signal to subtract two wall clocks; a block of rounds
-    /// puts the measurement tens of milliseconds above timer noise.
-    pub warm_rounds: u32,
     /// Simulated seconds for the trace-export phase.
     pub trace_secs: u64,
-    /// Devices streamed through the fleet phase (1-second runs each).
-    pub fleet_devices: u64,
-    /// Fidelity the fleet phase simulates its devices at (the fleet
-    /// default is [`SimFidelity::Summary`]; `--fidelity full` restores
-    /// the historical series-recording path for comparison).
-    pub fleet_fidelity: SimFidelity,
     /// Seconds of work trace per benchmark in the optgap phase.
     pub optgap_secs: u64,
-    /// Engine state root. `None` uses (and afterwards removes) a
-    /// process-scoped temp directory, guaranteeing a cold start.
-    pub state_root: Option<PathBuf>,
 }
 
 impl Default for BenchConfig {
     fn default() -> Self {
         BenchConfig {
             seed: 1,
-            jobs: 0,
-            grid: sweep::SweepConfig::quick(),
             hot_iters: 1_000,
             hot_secs: 2,
             hot_rounds: 3,
-            warm_reps: 5,
-            warm_rounds: 50,
             trace_secs: 3,
-            fleet_devices: 2_000,
-            fleet_fidelity: SimFidelity::Summary,
             optgap_secs: 5,
-            state_root: None,
         }
     }
 }
@@ -136,77 +99,16 @@ fn median_round_us(rounds: u32, iters: u32, mut f: impl FnMut()) -> u64 {
 pub struct BenchReport {
     /// The full `BENCH_*.json` document.
     pub json: String,
-    /// The gate metrics (`cold_cells_per_sec`, …), as written.
+    /// The gate metrics (`hot_sims_per_sec`, …), as written.
     pub gate: BTreeMap<String, f64>,
     /// One line per phase for stdout.
     pub summary: String,
 }
 
-/// Runs every phase and assembles the report. Does not touch the
-/// filesystem beyond the engine state root (see
-/// [`BenchConfig::state_root`]); writing the report is
-/// [`BenchReport::save`].
+/// Runs every phase and assembles the report. Touches no files;
+/// writing the report is [`BenchReport::save`].
 pub fn run(cfg: &BenchConfig) -> BenchReport {
-    let (root, scratch) = match &cfg.state_root {
-        Some(r) => (r.clone(), false),
-        None => (
-            std::env::temp_dir().join(format!("repro-bench-{}", std::process::id())),
-            true,
-        ),
-    };
-    if scratch {
-        let _ = std::fs::remove_dir_all(&root);
-    }
-    let engine_config = || EngineConfig {
-        jobs: cfg.jobs,
-        state_root: Some(root.clone()),
-        use_cache: true,
-        ..EngineConfig::hermetic()
-    };
-    let specs = sweep::specs(&cfg.grid, cfg.seed);
-
-    // Phase 1: cold sweep, profiler on.
-    obs::span::set_enabled(true);
-    let _ = obs::span::drain();
-    let cold = Engine::new(engine_config()).run_batch("bench", &specs);
-    obs::span::set_enabled(false);
-
-    // Phase 2: warm sweep. Profiler off first (the clean timing),
-    // then on (the overhead measurement).
-    let warm_engine = Engine::new(engine_config());
-    let reps = cfg.warm_reps.max(1);
-    let rounds = cfg.warm_rounds.max(1);
-    let mut warm_plain_us = u64::MAX;
-    for _ in 0..reps {
-        let started = Instant::now();
-        for _ in 0..rounds {
-            std::hint::black_box(warm_engine.run_batch("bench", &specs));
-        }
-        let per_batch = started.elapsed().as_micros() as u64 / rounds as u64;
-        warm_plain_us = warm_plain_us.min(per_batch);
-    }
-    obs::span::set_enabled(true);
-    let _ = obs::span::drain();
-    let mut warm_profiled_us = u64::MAX;
-    let mut warm = None;
-    for _ in 0..reps {
-        let started = Instant::now();
-        for _ in 0..rounds {
-            warm = Some(std::hint::black_box(warm_engine.run_batch("bench", &specs)));
-        }
-        let per_batch = started.elapsed().as_micros() as u64 / rounds as u64;
-        warm_profiled_us = warm_profiled_us.min(per_batch);
-    }
-    obs::span::set_enabled(false);
-    let _ = obs::span::drain();
-    let warm = warm.expect("warm_reps >= 1");
-    let overhead_pct = if warm_plain_us > 0 {
-        (warm_profiled_us as f64 - warm_plain_us as f64) / warm_plain_us as f64 * 100.0
-    } else {
-        0.0
-    };
-
-    // Phase 3: hot loop — the simulator core alone, single thread.
+    // Phase 1: hot loop — the simulator core alone, single thread.
     // Timed two ways, each as a median of `hot_rounds` rounds: full
     // fidelity, which runs the tick-by-tick reference loop, and the
     // summary-fidelity span skipper the fleet runs on. The report
@@ -233,19 +135,13 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
         0.0
     };
 
-    // Phase 4: trace export.
+    // Phase 2: trace export.
     let trace_started = Instant::now();
     let trace = trace_exp::export("avgn", cfg.seed, Some(cfg.trace_secs))
         .expect("avgn is a known scenario");
     let trace_us = trace_started.elapsed().as_micros() as u64;
 
-    // Phase 5: fleet stream — population throughput through
-    // `run_stream` (no cache involved; streaming skips it).
-    let population =
-        fleet::PopulationConfig::new(cfg.fleet_devices, cfg.seed).with_fidelity(cfg.fleet_fidelity);
-    let fleet_out = fleet::run(&Engine::new(engine_config()), "bench-fleet", &population);
-
-    // Phase 6: optgap — trace recording plus the exact-optimum and
+    // Phase 3: optgap — trace recording plus the exact-optimum and
     // online-canon computations, end to end (no filesystem output).
     let optgap_cfg = crate::optgap_cmd::OptgapConfig {
         seed: cfg.seed,
@@ -256,17 +152,7 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
     let optgap = crate::optgap_cmd::run(&optgap_cfg);
     let optgap_us = optgap_started.elapsed().as_micros() as u64;
 
-    if scratch {
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
     let gate: BTreeMap<String, f64> = [
-        ("cold_cells_per_sec", cold.stats.cells_per_sec()),
-        ("fleet_devices_per_sec", fleet_out.stats.devices_per_sec()),
-        (
-            "warm_cells_per_sec",
-            rate_per_sec(cold.stats.total as u64, warm_plain_us),
-        ),
         (
             "hot_sims_per_sec",
             rate_per_sec(cfg.hot_iters as u64, hot_us),
@@ -294,7 +180,6 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
     json.push_str("{\n");
     let _ = writeln!(json, "  \"schema\": \"bench-v1\",");
     let _ = writeln!(json, "  \"seed\": {},", cfg.seed);
-    let _ = writeln!(json, "  \"jobs\": {},", cfg.jobs);
     // Host provenance: a BENCH number is meaningless without knowing
     // what machine produced it, so record the facts next to the gate.
     json.push_str("  \"host\": {\n");
@@ -312,61 +197,6 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
             .unwrap_or_else(|| "unknown".to_string())
             .replace('\\', "\\\\")
             .replace('"', "\\\"")
-    );
-    json.push_str("  },\n");
-    json.push_str("  \"cold_sweep\": {\n");
-    let _ = writeln!(json, "    \"cells\": {},", cold.stats.total);
-    let _ = writeln!(json, "    \"executed\": {},", cold.stats.executed);
-    let _ = writeln!(json, "    \"wall_us\": {},", cold.stats.elapsed_us);
-    let _ = writeln!(
-        json,
-        "    \"cells_per_sec\": {:.6},",
-        cold.stats.cells_per_sec()
-    );
-    let _ = writeln!(
-        json,
-        "    \"job_latency_p50_us\": {:.6},",
-        cold.metrics.job_latency_p50_us
-    );
-    let _ = writeln!(
-        json,
-        "    \"job_latency_p90_us\": {:.6},",
-        cold.metrics.job_latency_p90_us
-    );
-    let _ = writeln!(
-        json,
-        "    \"job_latency_p99_us\": {:.6},",
-        cold.metrics.job_latency_p99_us
-    );
-    let _ = writeln!(
-        json,
-        "    \"job_latency_max_us\": {:.6},",
-        cold.metrics.job_latency_max_us
-    );
-    json.push_str("    \"stages\": [");
-    for (i, s) in cold.metrics.stages.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        let _ = write!(
-            json,
-            "{{\"stage\": \"{}\", \"total_us\": {}, \"share\": {:.6}}}",
-            s.stage, s.total_us, s.share
-        );
-    }
-    json.push_str("]\n  },\n");
-    json.push_str("  \"warm_sweep\": {\n");
-    let _ = writeln!(json, "    \"cells\": {},", warm.stats.total);
-    let _ = writeln!(json, "    \"cache_hits\": {},", warm.stats.cache_hits);
-    let _ = writeln!(json, "    \"reps\": {reps},");
-    let _ = writeln!(json, "    \"rounds\": {rounds},");
-    let _ = writeln!(json, "    \"wall_us_unprofiled\": {warm_plain_us},");
-    let _ = writeln!(json, "    \"wall_us_profiled\": {warm_profiled_us},");
-    let _ = writeln!(json, "    \"profiler_overhead_pct\": {overhead_pct:.3},");
-    let _ = writeln!(
-        json,
-        "    \"cells_per_sec\": {:.6}",
-        gate["warm_cells_per_sec"]
     );
     json.push_str("  },\n");
     json.push_str("  \"hot_loop\": {\n");
@@ -400,22 +230,6 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
         gate["trace_events_per_sec"]
     );
     json.push_str("  },\n");
-    json.push_str("  \"fleet\": {\n");
-    let _ = writeln!(json, "    \"fidelity\": \"{}\",", cfg.fleet_fidelity);
-    let _ = writeln!(json, "    \"devices\": {},", fleet_out.stats.total);
-    let _ = writeln!(json, "    \"executed\": {},", fleet_out.stats.executed);
-    let _ = writeln!(json, "    \"wall_us\": {},", fleet_out.stats.elapsed_us);
-    let _ = writeln!(
-        json,
-        "    \"peak_rss_bytes\": {},",
-        fleet_out.metrics.peak_rss_bytes
-    );
-    let _ = writeln!(
-        json,
-        "    \"devices_per_sec\": {:.6}",
-        gate["fleet_devices_per_sec"]
-    );
-    json.push_str("  },\n");
     json.push_str("  \"optgap\": {\n");
     let _ = writeln!(json, "    \"secs\": {},", cfg.optgap_secs);
     let _ = writeln!(json, "    \"rows\": {},", optgap.rows.len());
@@ -436,23 +250,6 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
     let mut summary = String::new();
     let _ = writeln!(
         summary,
-        "cold : {} cells in {:.2} s -> {:.2} cells/s (job p50 {:.1} ms, p99 {:.1} ms)",
-        cold.stats.total,
-        cold.stats.elapsed_us as f64 / 1e6,
-        gate["cold_cells_per_sec"],
-        cold.metrics.job_latency_p50_us / 1e3,
-        cold.metrics.job_latency_p99_us / 1e3,
-    );
-    let _ = writeln!(
-        summary,
-        "warm : {} hits in {:.1} ms/batch -> {:.0} cells/s (profiler overhead {:+.2} %)",
-        warm.stats.cache_hits,
-        warm_plain_us as f64 / 1e3,
-        gate["warm_cells_per_sec"],
-        overhead_pct,
-    );
-    let _ = writeln!(
-        summary,
         "hot  : {} x {} s MPEG sims -> {:.2} sims/s (full fidelity, tick loop, median of {} rounds)",
         cfg.hot_iters, cfg.hot_secs, gate["hot_sims_per_sec"], hot_rounds,
     );
@@ -467,15 +264,6 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
         trace.events,
         trace_us as f64 / 1e3,
         gate["trace_events_per_sec"],
-    );
-    let _ = writeln!(
-        summary,
-        "fleet: {} devices ({}) in {:.2} s -> {:.0} devices/s (peak RSS {:.1} MiB)",
-        fleet_out.stats.total,
-        cfg.fleet_fidelity,
-        fleet_out.stats.elapsed_us as f64 / 1e6,
-        gate["fleet_devices_per_sec"],
-        fleet_out.metrics.peak_rss_bytes as f64 / (1024.0 * 1024.0),
     );
     let _ = writeln!(
         summary,
@@ -569,36 +357,15 @@ pub fn compare(
 }
 
 #[cfg(test)]
-pub(crate) fn profiling_lock() -> std::sync::MutexGuard<'static, ()> {
-    // Serializes every test in this crate that flips the process-wide
-    // profiling flag (here and in `trace_exp`).
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use policies::Hysteresis;
-    use policies::SpeedChange;
 
     fn tiny() -> BenchConfig {
         BenchConfig {
-            jobs: 2,
-            grid: sweep::SweepConfig {
-                benchmarks: vec![Benchmark::Mpeg],
-                ns: vec![0],
-                rules: vec![SpeedChange::Peg],
-                thresholds: vec![Hysteresis::BEST],
-                secs: 1,
-            },
             hot_iters: 2,
             hot_secs: 1,
             hot_rounds: 1,
-            warm_reps: 1,
-            warm_rounds: 1,
             trace_secs: 1,
-            fleet_devices: 8,
             optgap_secs: 1,
             ..BenchConfig::default()
         }
@@ -606,29 +373,22 @@ mod tests {
 
     #[test]
     fn report_carries_every_section_and_a_positive_gate() {
-        let _l = profiling_lock();
         let report = run(&tiny());
         for section in [
             "\"host\"",
             "\"cpu_model\"",
             "\"cores\"",
             "\"kernel\"",
-            "\"cold_sweep\"",
-            "\"warm_sweep\"",
             "\"hot_loop\"",
             "\"trace_export\"",
-            "\"fleet\"",
             "\"optgap\"",
             "\"gate\"",
-            "\"profiler_overhead_pct\"",
-            "\"stages\"",
             "\"summary_sims_per_sec\"",
             "\"summary_speedup_vs_reference\"",
-            "\"fidelity\": \"summary\"",
         ] {
             assert!(report.json.contains(section), "missing {section}");
         }
-        assert_eq!(report.gate.len(), 7);
+        assert_eq!(report.gate.len(), 4);
         assert!(report.gate.contains_key("summary_sims_per_sec"));
         for (metric, &value) in &report.gate {
             assert!(value > 0.0, "{metric} = {value}");
@@ -638,10 +398,20 @@ mod tests {
         assert_eq!(reread, report.gate);
         // ...and a report always passes against itself.
         assert!(compare(&report.gate, &reread, 0.0).is_empty());
-        // The cold run profiled: a stage breakdown must be present.
-        assert!(report.json.contains("\"stage\": \"simulate\""));
-        // And the harness leaves global profiling off.
-        assert!(!obs::span::enabled());
+    }
+
+    #[test]
+    fn checked_in_baseline_gates_exactly_what_the_harness_reports() {
+        // `compare` ignores report metrics the baseline lacks, so a new
+        // phase would otherwise ship ungated, and a stale baseline key
+        // would only fail in CI.
+        let baseline = parse_gate(include_str!("../../../BENCH_baseline.json"))
+            .expect("BENCH_baseline.json has a well-formed gate");
+        let report = run(&tiny());
+        assert_eq!(
+            baseline.keys().collect::<Vec<_>>(),
+            report.gate.keys().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -658,19 +428,19 @@ mod tests {
     #[test]
     fn compare_flags_regressions_and_missing_metrics() {
         let base: BTreeMap<String, f64> = [
-            ("cold_cells_per_sec".to_string(), 100.0),
+            ("hot_sims_per_sec".to_string(), 100.0),
             ("gone_metric".to_string(), 5.0),
         ]
         .into();
         let current: BTreeMap<String, f64> = [
-            ("cold_cells_per_sec".to_string(), 65.0),
+            ("hot_sims_per_sec".to_string(), 65.0),
             ("brand_new_metric".to_string(), 1.0),
         ]
         .into();
         // 65 is a 35 % drop: outside 30 %, inside 40 %.
         let fails = compare(&current, &base, 30.0);
         assert_eq!(fails.len(), 2, "{fails:?}");
-        assert!(fails.iter().any(|f| f.contains("cold_cells_per_sec")));
+        assert!(fails.iter().any(|f| f.contains("hot_sims_per_sec")));
         assert!(fails.iter().any(|f| f.contains("gone_metric")));
         assert_eq!(compare(&current, &base, 40.0).len(), 1);
     }

@@ -77,18 +77,16 @@
 //! `peak_rss_bytes`).
 //! Devices simulate at summary fidelity by default (no per-tick series
 //! are materialized); `--fidelity full` restores the historical
-//! series-recording path. The flag also selects the fidelity of
-//! `bench`'s fleet phase.
+//! series-recording path.
 //!
-//! `bench` is the performance-regression harness (see EXPERIMENTS.md):
-//! it times a cold sweep, a warm (all-cache-hit) sweep, a single-thread
-//! simulator hot loop, a trace export, and a fleet stream
-//! (`fleet_devices_per_sec` in the gate), then writes `BENCH_<n>.json`
-//! and `BENCH_latest.json` into the current directory. It manages the
-//! profiler flag itself. `--baseline FILE` compares the new gate
-//! against a previous report and exits 1 on a regression beyond
-//! `--bench-tolerance` percent (default 30); `--bench-iters N` sets the
-//! hot-loop iteration count.
+//! `bench` is the performance-regression harness (see EXPERIMENTS.md)
+//! for the paths perfbench has no workload for: it times a
+//! single-thread simulator hot loop (at full and summary fidelity), a
+//! trace export and the optgap suite, then writes `BENCH_<n>.json` and
+//! `BENCH_latest.json` into the current directory. `--baseline FILE`
+//! compares the new gate against a previous report and exits 1 on a
+//! regression beyond `--bench-tolerance` percent (default 30);
+//! `--bench-iters N` sets the hot-loop iteration count.
 
 use std::time::Instant;
 
@@ -549,23 +547,13 @@ fn main() {
             "bench" => {
                 let mut cfg = bench_cmd::BenchConfig {
                     seed: SEED,
-                    jobs,
                     ..bench_cmd::BenchConfig::default()
                 };
-                if let Some(secs) = sweep_secs {
-                    cfg.grid.secs = secs;
-                }
                 if let Some(secs) = trace_secs {
                     cfg.trace_secs = secs;
                 }
-                if let Some(devices) = devices {
-                    cfg.fleet_devices = devices;
-                }
                 if let Some(iters) = bench_iters {
                     cfg.hot_iters = iters;
-                }
-                if let Some(f) = fidelity {
-                    cfg.fleet_fidelity = f;
                 }
                 // Read the baseline gate before saving: saving
                 // rewrites BENCH_latest.json, which is a perfectly

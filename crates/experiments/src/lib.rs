@@ -42,7 +42,8 @@
 //! | `trace` | deterministic structured-event export (CSV + Chrome JSON) |
 //!
 //! Not a paper artifact but run the same way: `repro bench`
-//! ([`bench_cmd`]) measures the harness itself and writes
+//! ([`bench_cmd`]) times the hot loop, trace export and optgap suite —
+//! the paths `perfbench/` has no workload for — and writes
 //! `BENCH_*.json` performance reports.
 
 pub mod ablation;

@@ -185,7 +185,6 @@ mod tests {
 
     #[test]
     fn profiling_adds_a_wall_clock_span_track() {
-        let _l = crate::bench_cmd::profiling_lock();
         obs::span::set_enabled(true);
         let profiled = export("avgn", 1, Some(2)).expect("known scenario");
         obs::span::set_enabled(false);

@@ -1,16 +1,13 @@
 //! Typed events and the per-run trace that collects them.
 //!
-//! Two domains share one vocabulary:
-//!
-//! - **Simulation-domain** events happen at a simulated instant and are
-//!   deterministic functions of a job spec: quantum boundaries, policy
-//!   decisions, clock/voltage transitions, scheduling picks. They are
-//!   collected in a [`Trace`] and exported by `repro trace`.
-//! - **Engine-domain** events happen at wall clock — cache probes, job
-//!   lifecycle. They carry no meaningful sim time, so they are *logged*
-//!   (see [`crate::logger`]) and counted in metrics, never exported;
-//!   that split is what keeps exports byte-identical across cold/warm
-//!   cache and any `--jobs` count.
+//! Every event is a simulation event: it happens at a simulated instant
+//! and is a deterministic function of a job spec — quantum boundaries,
+//! policy decisions, clock/voltage transitions, scheduling picks. They
+//! are collected in a [`Trace`] and exported by `repro trace`.
+//! Engine happenings (cache probes, job lifecycle) carry no meaningful
+//! sim time, so they are *logged* (see [`crate::logger`]) and counted in
+//! metrics, never traced; that split is what keeps exports
+//! byte-identical across cold/warm cache and any `--jobs` count.
 
 use std::fmt;
 
@@ -43,7 +40,7 @@ fn opt_step(step: Option<u64>) -> Field {
     }
 }
 
-/// What happened. See the module docs for the domain split.
+/// What happened in the simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A scheduling quantum ended with this measured utilization.
@@ -89,49 +86,6 @@ pub enum EventKind {
         /// Clock rate in force, kHz.
         clock_khz: u64,
     },
-    /// Engine: a cache probe was served from disk.
-    CacheHit {
-        /// Content key, hex.
-        key: String,
-    },
-    /// Engine: a cache probe found nothing.
-    CacheMiss {
-        /// Content key, hex.
-        key: String,
-    },
-    /// Engine: a damaged cache entry was quarantined.
-    CacheQuarantine {
-        /// Content key, hex.
-        key: String,
-    },
-    /// Engine: a worker started (an attempt of) a job.
-    JobStart {
-        /// Content key, hex.
-        key: String,
-        /// 1-based attempt number.
-        attempt: u64,
-    },
-    /// Engine: a job panicked and will be retried.
-    JobRetry {
-        /// Content key, hex.
-        key: String,
-        /// The attempt that failed.
-        attempt: u64,
-    },
-    /// Engine: a job completed.
-    JobDone {
-        /// Content key, hex.
-        key: String,
-        /// Attempts it took.
-        attempts: u64,
-    },
-    /// Engine: a job exhausted its retry budget.
-    JobFail {
-        /// Content key, hex.
-        key: String,
-        /// Attempts made.
-        attempts: u64,
-    },
 }
 
 impl EventKind {
@@ -144,13 +98,6 @@ impl EventKind {
             EventKind::ClockTransition { .. } => "clock",
             EventKind::VoltageTransition { .. } => "voltage",
             EventKind::Schedule { .. } => "sched",
-            EventKind::CacheHit { .. } => "cache_hit",
-            EventKind::CacheMiss { .. } => "cache_miss",
-            EventKind::CacheQuarantine { .. } => "cache_quarantine",
-            EventKind::JobStart { .. } => "job_start",
-            EventKind::JobRetry { .. } => "job_retry",
-            EventKind::JobDone { .. } => "job_done",
-            EventKind::JobFail { .. } => "job_fail",
         }
     }
 
@@ -194,17 +141,6 @@ impl EventKind {
             EventKind::Schedule { pid, clock_khz } => vec![
                 ("pid", Field::U64(*pid)),
                 ("clock_khz", Field::U64(*clock_khz)),
-            ],
-            EventKind::CacheHit { key }
-            | EventKind::CacheMiss { key }
-            | EventKind::CacheQuarantine { key } => vec![("key", Field::Text(key.clone()))],
-            EventKind::JobStart { key, attempt } | EventKind::JobRetry { key, attempt } => vec![
-                ("key", Field::Text(key.clone())),
-                ("attempt", Field::U64(*attempt)),
-            ],
-            EventKind::JobDone { key, attempts } | EventKind::JobFail { key, attempts } => vec![
-                ("key", Field::Text(key.clone())),
-                ("attempts", Field::U64(*attempts)),
             ],
         }
     }
@@ -365,25 +301,6 @@ mod tests {
             EventKind::Schedule {
                 pid: 0,
                 clock_khz: 59_000,
-            },
-            EventKind::CacheHit { key: "ab".into() },
-            EventKind::CacheMiss { key: "ab".into() },
-            EventKind::CacheQuarantine { key: "ab".into() },
-            EventKind::JobStart {
-                key: "ab".into(),
-                attempt: 1,
-            },
-            EventKind::JobRetry {
-                key: "ab".into(),
-                attempt: 1,
-            },
-            EventKind::JobDone {
-                key: "ab".into(),
-                attempts: 2,
-            },
-            EventKind::JobFail {
-                key: "ab".into(),
-                attempts: 3,
             },
         ];
         let mut names = std::collections::BTreeSet::new();

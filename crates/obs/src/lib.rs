@@ -6,11 +6,11 @@
 //! substrate for that kind of evidence across the workspace:
 //!
 //! - [`event`] — typed events ([`EventKind`]) collected into a
-//!   [`Trace`]. Simulation-domain events (policy decisions, clock and
-//!   voltage transitions, quantum boundaries, scheduling picks) carry
-//!   *simulated* time and are therefore reproducible bit-for-bit;
-//!   engine-domain events (cache hits, job retries) belong to wall
-//!   clock and are logged, never exported.
+//!   [`Trace`]. Every event is a simulation event (policy decisions,
+//!   clock and voltage transitions, quantum boundaries, scheduling
+//!   picks) carrying *simulated* time, so it is reproducible
+//!   bit-for-bit; engine happenings (cache hits, job retries) belong to
+//!   wall clock and are logged, never traced.
 //! - [`logger`] — leveled, machine-readable stderr records replacing
 //!   ad-hoc `eprintln!`s. Verbosity is a process-wide switch
 //!   ([`set_verbosity`]) that `repro --quiet`/`-v` drives.

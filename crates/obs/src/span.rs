@@ -63,7 +63,7 @@ fn now_ns() -> u64 {
 
 /// Turns span collection on or off, process-wide. Off (the default)
 /// makes [`enter`] a no-op; the `repro` binary switches it on for
-/// `--profile` and `bench`.
+/// `--profile`.
 pub fn set_enabled(on: bool) {
     if on {
         // Pin the epoch before the first span so timestamps are
@@ -400,11 +400,6 @@ impl SpanTree {
         SpanTree { roots, dropped }
     }
 
-    /// Summed wall time of the root spans.
-    pub fn total_ns(&self) -> u64 {
-        self.roots.iter().map(|n| n.total_ns).sum()
-    }
-
     /// The node at an exact path, if present.
     pub fn find(&self, path: &[&str]) -> Option<&SpanNode> {
         let mut level = &self.roots;
@@ -454,35 +449,6 @@ impl SpanTree {
         }
         let mut out = String::new();
         walk(&self.roots, 0, &mut out);
-        out
-    }
-
-    /// Human rendering with times and shares, for `repro -v` style
-    /// inspection.
-    pub fn render(&self) -> String {
-        fn walk(nodes: &[SpanNode], depth: usize, whole_ns: u64, out: &mut String) {
-            for n in nodes {
-                let _ = writeln!(
-                    out,
-                    "{}{:<24} {:>10.3} ms  x{:<6} ({:.1}%)",
-                    "  ".repeat(depth),
-                    n.name,
-                    n.total_ns as f64 / 1e6,
-                    n.count,
-                    if whole_ns == 0 {
-                        0.0
-                    } else {
-                        n.total_ns as f64 / whole_ns as f64 * 100.0
-                    },
-                );
-                walk(&n.children, depth + 1, whole_ns, out);
-            }
-        }
-        let mut out = String::new();
-        walk(&self.roots, 0, self.total_ns(), &mut out);
-        if self.dropped > 0 {
-            let _ = writeln!(out, "({} span exits dropped at buffer cap)", self.dropped);
-        }
         out
     }
 }
@@ -653,7 +619,6 @@ mod tests {
         let stages = tree.stage_self_totals();
         assert_eq!(stages["parent"], 70);
         assert_eq!(stages["child"], 30);
-        assert_eq!(tree.total_ns(), 100, "roots only");
     }
 
     #[test]
@@ -672,8 +637,6 @@ mod tests {
         };
         let tree = SpanTree::aggregate([&a]);
         assert_eq!(tree.shape(), "simulate x1\n");
-        let render = tree.render();
-        assert!(render.contains("simulate"), "{render}");
-        assert!(render.contains("dropped"), "{render}");
+        assert_eq!(tree.dropped, 1);
     }
 }
