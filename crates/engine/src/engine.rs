@@ -38,7 +38,6 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use obs::registry::counter;
 use obs::RunMetrics;
 
 use crate::cache::{CacheProbe, ResultCache};
@@ -46,6 +45,7 @@ use crate::fault::{FaultInjector, FaultPlan, FaultStats};
 use crate::job::{JobResult, JobSpec};
 use crate::journal::Journal;
 use crate::key::ContentKey;
+use crate::live;
 use crate::pool::{Tally, PROGRESS_INTERVAL};
 
 /// How a batch should be executed.
@@ -279,10 +279,6 @@ impl Engine {
     /// only the failed cells.
     pub fn run_batch(&self, batch: &str, specs: &[JobSpec]) -> BatchOutcome {
         let started = Instant::now();
-        // Live-telemetry handles (no-ops unless `--metrics-addr` armed
-        // the registry); the pool counts the jobs themselves.
-        counter("engine_cells_total", "Batch cells requested.").add(specs.len() as u64);
-        let m_cache_hits = counter("engine_cache_hits_total", "Cells served from the cache.");
         let root = self.state_root();
         let faults = FaultInjector::new(self.config.faults);
         let cache = self
@@ -298,17 +294,19 @@ impl Engine {
             Default::default()
         };
         let mut slots: Vec<Option<Result<JobResult, JobFailure>>> = Vec::with_capacity(specs.len());
-        let (mut journal_hits, mut cache_hits, mut quarantined) = (0usize, 0usize, 0usize);
-        // The calling thread's tally: reused results count toward the
-        // data-level aggregates.
-        let mut tally = Tally::default();
+        // The calling thread's tally: the cells, where reused ones came
+        // from, their data-level aggregates, and the failures.
+        let mut tally = Tally {
+            total: specs.len() as u64,
+            ..Tally::default()
+        };
         for spec in specs {
             let key = {
                 let _s = obs::span::enter("content_key");
                 spec.key()
             };
             let hit = journaled.get(&key).copied().inspect(|r| {
-                journal_hits += 1;
+                tally.journal_hits += 1;
                 // Backfill the cache so the next batch doesn't depend
                 // on the journal surviving.
                 if let Some(cache) = &cache {
@@ -320,13 +318,12 @@ impl Engine {
                     let _s = obs::span::enter("cache_probe");
                     match c.probe(spec, &faults) {
                         CacheProbe::Hit(r) => {
-                            cache_hits += 1;
-                            m_cache_hits.inc();
+                            tally.cache_hits += 1;
                             obs::debug!("engine: cache_hit key={key}");
                             Some(r)
                         }
                         CacheProbe::Quarantined => {
-                            quarantined += 1;
+                            tally.quarantined += 1;
                             obs::warn!("engine: cache_quarantine key={key} action=recompute");
                             None
                         }
@@ -362,7 +359,7 @@ impl Engine {
         // Layer 3: simulate the rest on the pool, writing each
         // completion to cache, journal and its slot as it arrives.
         let workers = self.worker_count().min(pending.len());
-        let (to_run, reused) = (pending.len(), journal_hits + cache_hits);
+        let (to_run, reused) = (pending.len(), tally.journal_hits + tally.cache_hits);
         let (mut done, mut last_report) = (0usize, Instant::now());
         let pooled = self.pool(
             workers,
@@ -410,7 +407,6 @@ impl Engine {
                 }
             },
         );
-        tally.merge(pooled.tally);
 
         // A dead worker's in-flight cell never reported; fail any
         // still-empty slot rather than pretending it ran.
@@ -429,7 +425,12 @@ impl Engine {
                 })
             })
             .collect();
-        let failed = results.iter().filter(|r| r.is_err()).count();
+        tally.failed = results.iter().filter(|r| r.is_err()).count() as u64;
+        // Publish the calling thread's own counts before adding the
+        // workers' tallies in: the workers published theirs.
+        live::publish(None, &tally);
+        tally.merge(&pooled.tally);
+        let failed = tally.failed;
 
         if let Some(j) = journal {
             if failed == 0 {
@@ -448,11 +449,11 @@ impl Engine {
 
         let stats = BatchStats {
             total: specs.len(),
-            cache_hits,
-            journal_hits,
-            executed: specs.len() - cache_hits - journal_hits - failed,
-            failed,
-            quarantined,
+            cache_hits: tally.cache_hits as usize,
+            journal_hits: tally.journal_hits as usize,
+            executed: tally.executed as usize,
+            failed: failed as usize,
+            quarantined: tally.quarantined as usize,
             workers,
             elapsed_us: started.elapsed().as_micros() as u64,
         };
@@ -484,19 +485,8 @@ impl Engine {
             }
         }
 
-        let base = RunMetrics {
-            batch: batch.to_string(),
-            total: stats.total as u64,
-            executed: stats.executed as u64,
-            cache_hits: stats.cache_hits as u64,
-            journal_hits: stats.journal_hits as u64,
-            failed: stats.failed as u64,
-            quarantined: stats.quarantined as u64,
-            workers: stats.workers as u64,
-            wall_us: stats.elapsed_us,
-            ..Default::default()
-        };
-        let (metrics, profile) = self.conclude(base, &tally, pooled.spans);
+        let (metrics, profile) =
+            self.conclude(batch, workers, stats.elapsed_us, &tally, pooled.spans);
         BatchOutcome {
             results,
             stats,

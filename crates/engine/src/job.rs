@@ -324,8 +324,12 @@ impl JobSpec {
         scratch: &mut SimScratch,
     ) -> (JobResult, obs::Trace, Vec<WindowSample>) {
         let _span = obs::span::enter("simulate");
+        // No result field reads the scheduler log or the power trace,
+        // so the kernel records neither.
         let mut config = KernelConfig {
             duration: self.duration,
+            log_sched: false,
+            record_power: false,
             trace,
             reference,
             fidelity: self.fidelity,

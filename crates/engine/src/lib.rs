@@ -12,7 +12,9 @@
 //!   `results/cache/`, so re-running a sweep only simulates what
 //!   changed;
 //! - a per-batch journal makes interrupted runs resumable (`--resume`)
-//!   even when the cache is off.
+//!   even when the cache is off;
+//! - every run counts what it did once, into the tallies that both its
+//!   `metrics.json` and the live page from [`render_prometheus`] read.
 //!
 //! Experiment harnesses build specs, call [`Engine::run_batch`], and
 //! format the returned [`JobResult`]s; they no longer own threading,
@@ -33,6 +35,7 @@ pub mod fault;
 pub mod job;
 pub mod journal;
 pub mod key;
+mod live;
 mod pool;
 pub mod stream;
 
@@ -43,4 +46,5 @@ pub use job::{HwSpec, JobResult, JobSpec, WorkloadSpec, SIM_VERSION, SUMMARY_SIM
 pub use journal::Journal;
 pub use kernel_sim::WindowSample;
 pub use key::ContentKey;
+pub use live::render_prometheus;
 pub use stream::{StreamOutcome, StreamStats};

@@ -3,8 +3,8 @@
 //! [`Engine::run_batch`] and [`Engine::run_stream`] differ only in where
 //! specs come from and where completions go. Everything in between lives
 //! here, once: the worker threads, the `catch_unwind` retry loop, the
-//! fault hooks, watchdog heartbeats, live-telemetry instruments, and the
-//! per-worker [`Tally`] that [`RunMetrics`] is derived from.
+//! fault hooks, watchdog heartbeats, and the [`Tally`] that both
+//! [`RunMetrics`] and the live `/metrics` page are derived from.
 //!
 //! Workers pull `(index, spec)` pairs from a `Mutex`-guarded iterator, so
 //! a lazy stream is advanced by whichever worker is free and never
@@ -16,6 +16,13 @@
 //! so a stream's counts come from the workers' tallies, not from the
 //! channel. The bound keeps completed-but-undrained results from piling
 //! up faster than the drainer absorbs them.
+//!
+//! Each worker counts into a fresh tally and, every [`PUBLISH_EVERY`]
+//! and when it runs dry, publishes it to the process-wide sum behind
+//! `/metrics` (see `live`) and adds it into its run tally. The calling
+//! thread publishes its own counts once, when the run ends, before it
+//! adds the workers' tallies in. Every count is therefore recorded once
+//! and read twice: by `metrics.json` and by a scrape.
 //!
 //! A job's content key is computed only when something reads it: an
 //! active fault plan, the watchdog, a retry log line or a failure
@@ -29,7 +36,6 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use kernel_sim::WindowSample;
-use obs::registry::{counter, gauge, histogram, Gauge};
 use obs::{PolicyMetrics, RunMetrics};
 use policies::PolicyDesc;
 use sim_core::LogHistogram;
@@ -37,35 +43,54 @@ use sim_core::LogHistogram;
 use crate::engine::{panic_message, Engine, JobFailure};
 use crate::fault::FaultInjector;
 use crate::job::{JobResult, JobSpec};
+use crate::live;
 
 /// How often a run may print a progress line, and how long the calling
 /// thread waits for a message before waking `drain` without one.
 pub(crate) const PROGRESS_INTERVAL: Duration = Duration::from_millis(500);
 
-/// What a set of jobs added up to: one per worker, plus one for the
-/// results a batch reused from its journal and cache. Merging is
-/// addition, so the total never depends on which worker ran which job.
+/// How often a worker publishes what it counted to `/metrics`.
+const PUBLISH_EVERY: Duration = Duration::from_millis(250);
+
+/// What a run counted, in one place: one per worker, plus one for the
+/// calling thread's own counts (cells requested, results reused from
+/// journal and cache, failures). Merging is addition, so the total
+/// never depends on which worker ran which job. A run's `metrics.json`
+/// is derived from its merged tally, and `/metrics` renders the
+/// process-wide sum of every published one.
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
+    /// Cells (a stream: devices) the run requested.
+    pub(crate) total: u64,
     /// Jobs run to completion on a worker. Results a batch reuses from
     /// its journal or cache are recorded but not counted here.
     pub(crate) executed: u64,
+    /// Cells served from the result cache.
+    pub(crate) cache_hits: u64,
+    /// Cells served from an interrupted run's journal.
+    pub(crate) journal_hits: u64,
+    /// Damaged cache entries quarantined (and recomputed).
+    pub(crate) quarantined: u64,
+    /// Cells (devices) that produced no result.
+    pub(crate) failed: u64,
+    /// Failure reports beyond a stream's retention cap.
+    pub(crate) failures_dropped: u64,
     /// Attempts beyond the first, over every job a worker ran.
-    retries: u64,
+    pub(crate) retries: u64,
     /// Simulated time of the jobs run to completion, µs.
-    sim_us: u64,
+    pub(crate) sim_us: u64,
     /// Scheduler log records dropped, over every recorded result.
-    sched_dropped: u64,
+    pub(crate) sched_dropped: u64,
     /// Clock-step transitions, over every recorded result.
-    clock_switches: u64,
+    pub(crate) clock_switches: u64,
     /// Voltage transitions, over every recorded result.
-    voltage_switches: u64,
+    pub(crate) voltage_switches: u64,
     /// Wall-clock latency of every job a worker ran, failed ones
     /// included, µs.
-    job_latency_us: LogHistogram,
+    pub(crate) job_latency_us: LogHistogram,
     /// Cells and switches per policy, keyed by descriptor so the fold
     /// never formats a label.
-    per_policy: Vec<(PolicyDesc, PolicyMetrics)>,
+    pub(crate) per_policy: Vec<(PolicyDesc, PolicyMetrics)>,
 }
 
 impl Tally {
@@ -74,27 +99,37 @@ impl Tally {
         self.sched_dropped += r.sched_dropped;
         self.clock_switches += r.clock_switches;
         self.voltage_switches += r.voltage_switches;
-        let at = match self.per_policy.iter().position(|(d, _)| *d == spec.policy) {
-            Some(at) => at,
-            None => {
-                self.per_policy
-                    .push((spec.policy, PolicyMetrics::default()));
-                self.per_policy.len() - 1
-            }
-        };
-        let p = &mut self.per_policy[at].1;
+        let p = self.policy(spec.policy);
         p.cells += 1;
         p.clock_switches += r.clock_switches;
         p.voltage_switches += r.voltage_switches;
     }
 
-    /// Adds another tally in. A descriptor may then appear more than
-    /// once; [`Tally::metrics`] sums its entries by label. The
-    /// exhaustive destructure makes a new field a compile error here
-    /// until it is merged.
-    pub(crate) fn merge(&mut self, other: Tally) {
+    /// The entry for `desc`, added on first sight.
+    fn policy(&mut self, desc: PolicyDesc) -> &mut PolicyMetrics {
+        let at = match self.per_policy.iter().position(|(d, _)| *d == desc) {
+            Some(at) => at,
+            None => {
+                self.per_policy.push((desc, PolicyMetrics::default()));
+                self.per_policy.len() - 1
+            }
+        };
+        &mut self.per_policy[at].1
+    }
+
+    /// Adds another tally in, entry by entry, so merging any number of
+    /// tallies over the same policies keeps one entry per descriptor.
+    /// The exhaustive destructure makes a new field a compile error
+    /// here until it is merged.
+    pub(crate) fn merge(&mut self, other: &Tally) {
         let Tally {
+            total,
             executed,
+            cache_hits,
+            journal_hits,
+            quarantined,
+            failed,
+            failures_dropped,
             retries,
             sim_us,
             sched_dropped,
@@ -103,20 +138,38 @@ impl Tally {
             job_latency_us,
             per_policy,
         } = other;
+        self.total += total;
         self.executed += executed;
+        self.cache_hits += cache_hits;
+        self.journal_hits += journal_hits;
+        self.quarantined += quarantined;
+        self.failed += failed;
+        self.failures_dropped += failures_dropped;
         self.retries += retries;
         self.sim_us += sim_us;
         self.sched_dropped += sched_dropped;
         self.clock_switches += clock_switches;
         self.voltage_switches += voltage_switches;
-        self.job_latency_us.merge(&job_latency_us);
-        self.per_policy.extend(per_policy);
+        self.job_latency_us.merge(job_latency_us);
+        for (desc, p) in per_policy {
+            let mine = self.policy(*desc);
+            mine.cells += p.cells;
+            mine.clock_switches += p.clock_switches;
+            mine.voltage_switches += p.voltage_switches;
+        }
     }
 
-    /// Completes `base`, whose counts the caller filled in, with the
-    /// tally's totals, latency percentiles and per-policy breakdown and
-    /// the profile's stage breakdown.
-    fn metrics(&self, mut base: RunMetrics, profile: &obs::Profile) -> RunMetrics {
+    /// The run's [`RunMetrics`]: every count from the tally, latency
+    /// percentiles, the per-policy breakdown (summed by label, since
+    /// descriptors that differ only in their voltage rule share one)
+    /// and the profile's stage breakdown.
+    fn metrics(
+        &self,
+        batch: &str,
+        workers: usize,
+        wall_us: u64,
+        profile: &obs::Profile,
+    ) -> RunMetrics {
         let mut per_policy: BTreeMap<String, PolicyMetrics> = BTreeMap::new();
         for (desc, p) in &self.per_policy {
             let entry = per_policy.entry(desc.label()).or_default();
@@ -124,20 +177,33 @@ impl Tally {
             entry.clock_switches += p.clock_switches;
             entry.voltage_switches += p.voltage_switches;
         }
-        base.retries = self.retries;
-        base.sim_us = self.sim_us;
-        base.sched_dropped = self.sched_dropped;
-        base.clock_switches = self.clock_switches;
-        base.voltage_switches = self.voltage_switches;
-        base.peak_rss_bytes = obs::peak_rss_bytes().unwrap_or(0);
-        base.per_policy = (per_policy.into_iter())
-            .map(|(policy, p)| PolicyMetrics { policy, ..p })
-            .collect();
-        base.set_job_latencies(&self.job_latency_us);
+        let mut metrics = RunMetrics {
+            batch: batch.to_string(),
+            total: self.total,
+            executed: self.executed,
+            cache_hits: self.cache_hits,
+            journal_hits: self.journal_hits,
+            failed: self.failed,
+            failures_dropped: self.failures_dropped,
+            quarantined: self.quarantined,
+            retries: self.retries,
+            workers: workers as u64,
+            sched_dropped: self.sched_dropped,
+            clock_switches: self.clock_switches,
+            voltage_switches: self.voltage_switches,
+            wall_us,
+            sim_us: self.sim_us,
+            peak_rss_bytes: obs::peak_rss_bytes().unwrap_or(0),
+            per_policy: (per_policy.into_iter())
+                .map(|(policy, p)| PolicyMetrics { policy, ..p })
+                .collect(),
+            ..RunMetrics::default()
+        };
+        metrics.set_job_latencies(&self.job_latency_us);
         let stages = profile.tree().stage_self_totals();
-        base.set_stages(stages.iter().map(|(name, &ns)| (name.as_str(), ns)));
-        base.finalize();
-        base
+        metrics.set_stages(stages.iter().map(|(name, &ns)| (name.as_str(), ns)));
+        metrics.finalize();
+        metrics
     }
 }
 
@@ -183,10 +249,6 @@ impl Engine {
         F: Fn(&mut A, usize, &JobSpec, JobResult, &[WindowSample]) -> Option<T> + Sync,
         D: FnMut(Option<Result<T, JobFailure>>),
     {
-        let g_results = gauge(
-            "engine_result_queue_depth",
-            "Batch results and failures sent but not yet drained.",
-        );
         let source = Mutex::new((0usize, jobs));
         let (tx, rx) = mpsc::sync_channel(workers * 4);
         let mut pooled = Pooled::default();
@@ -194,9 +256,7 @@ impl Engine {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     let (tx, source, finish) = (tx.clone(), &source, &finish);
-                    s.spawn(move || {
-                        self.work(w, source, faults, timeline_windows, finish, (tx, g_results))
-                    })
+                    s.spawn(move || self.work(w, source, faults, timeline_windows, finish, tx))
                 })
                 .collect();
             // Only worker clones keep the channel open, so the drain
@@ -205,7 +265,7 @@ impl Engine {
             loop {
                 match rx.recv_timeout(PROGRESS_INTERVAL) {
                     Ok(msg) => {
-                        g_results.dec();
+                        live::queued(-1);
                         drain(Some(msg));
                     }
                     Err(RecvTimeoutError::Timeout) => drain(None),
@@ -218,7 +278,7 @@ impl Engine {
                 match h.join() {
                     Ok((acc, tally, spans)) => {
                         pooled.accs.push(acc);
-                        pooled.tally.merge(tally);
+                        pooled.tally.merge(&tally);
                         if !spans.is_empty() {
                             pooled.spans.push((format!("worker-{w}"), spans));
                         }
@@ -237,7 +297,7 @@ impl Engine {
 
     /// One worker: takes jobs until the source runs dry, runs each in the
     /// retry fence, and sends failures and whatever `finish` returns
-    /// down `tx`, counting each in the `g_results` queue-depth gauge.
+    /// down `tx`. Returns its accumulator, its run tally and its spans.
     fn work<I, A, T, F>(
         &self,
         w: usize,
@@ -245,25 +305,21 @@ impl Engine {
         faults: &FaultInjector,
         timeline_windows: u32,
         finish: &F,
-        (tx, g_results): (mpsc::SyncSender<Result<T, JobFailure>>, &Gauge),
+        tx: mpsc::SyncSender<Result<T, JobFailure>>,
     ) -> (A, Tally, obs::ThreadSpans)
     where
         I: Iterator<Item = (usize, JobSpec)>,
         A: Default,
         F: Fn(&mut A, usize, &JobSpec, JobResult, &[WindowSample]) -> Option<T>,
     {
-        // Live-telemetry handles, resolved once so the loop below
-        // touches only atomics (no-ops while the metrics plane is off).
-        let m_jobs = counter("engine_jobs_executed_total", "Jobs completed.");
-        let m_failed = counter("engine_jobs_failed_total", "Jobs out of retries.");
-        let m_retries = counter("engine_job_retries_total", "Job attempts beyond the first.");
-        let h_latency = histogram("engine_job_latency_us", "Per-job wall-clock latency, µs.");
-        let worker_jobs = format!("engine_worker_jobs_total{{worker=\"{w}\"}}");
-        let w_jobs = counter(&worker_jobs, "Jobs completed, by worker.");
         let heartbeat = obs::watchdog::register(w);
         let max_retries = self.config().max_retries;
         let faulty = faults.is_active();
-        let (mut acc, mut tally) = (A::default(), Tally::default());
+        let (mut acc, mut tally, mut fresh) = (A::default(), Tally::default(), Tally::default());
+        // Publishing the empty tally gives the worker its `/metrics`
+        // sample before its first job completes.
+        live::publish(Some(w), &fresh);
+        let mut published = Instant::now();
         // A source poisoned by a panicking iterator ends the run for
         // every worker.
         let next = || {
@@ -308,23 +364,19 @@ impl Engine {
                         break Err(panic_message(payload.as_ref()))
                     }
                     Err(_) => {
-                        tally.retries += 1;
-                        m_retries.inc();
+                        fresh.retries += 1;
                         obs::debug!("engine: job_retry key={} attempt={attempts}", *key);
                     }
                 }
             };
             let msg = match outcome {
                 Ok((result, timeline)) => {
-                    tally.sim_us += spec.duration.as_micros();
-                    tally.record(&spec, &result);
-                    tally.executed += 1;
-                    m_jobs.inc();
-                    w_jobs.inc();
+                    fresh.sim_us += spec.duration.as_micros();
+                    fresh.record(&spec, &result);
+                    fresh.executed += 1;
                     finish(&mut acc, index, &spec, result, &timeline).map(Ok)
                 }
                 Err(message) => {
-                    m_failed.inc();
                     let failure = JobFailure {
                         index,
                         key: *key,
@@ -336,28 +388,38 @@ impl Engine {
                     Some(Err(failure))
                 }
             };
-            let latency_us = started.elapsed().as_secs_f64() * 1e6;
-            tally.job_latency_us.record(latency_us);
-            h_latency.observe(latency_us);
+            let now = Instant::now();
+            fresh
+                .job_latency_us
+                .record((now - started).as_secs_f64() * 1e6);
             drop(job_span);
+            if now - published >= PUBLISH_EVERY {
+                published = now;
+                live::publish(Some(w), &fresh);
+                tally.merge(&std::mem::take(&mut fresh));
+            }
             if let Some(msg) = msg {
-                g_results.inc();
+                live::queued(1);
                 if tx.send(msg).is_err() {
                     break;
                 }
             }
         }
+        live::publish(Some(w), &fresh);
+        tally.merge(&fresh);
         heartbeat.idle();
         (acc, tally, obs::span::drain())
     }
 
-    /// Derives a run's [`RunMetrics`] from `base` (the caller's counts)
-    /// and `tally`, assembles its profile — the calling thread first,
-    /// then `worker_spans` — and writes `metrics.json` and
+    /// Derives a run's [`RunMetrics`] from its merged `tally`,
+    /// assembles its profile — the calling thread first, then
+    /// `worker_spans` — and writes `metrics.json` and
     /// `profile.trace.json` when the config asks for them.
     pub(crate) fn conclude(
         &self,
-        base: RunMetrics,
+        batch: &str,
+        workers: usize,
+        wall_us: u64,
         tally: &Tally,
         worker_spans: Vec<(String, obs::ThreadSpans)>,
     ) -> (RunMetrics, obs::Profile) {
@@ -370,10 +432,9 @@ impl Engine {
             profile.threads.push(("collector".to_string(), collector));
         }
         profile.threads.extend(worker_spans);
-        let metrics = tally.metrics(base, &profile);
+        let metrics = tally.metrics(batch, workers, wall_us, &profile);
 
         if self.config().write_metrics {
-            let batch = &metrics.batch;
             let dir = self.state_root().join(batch);
             let write = std::fs::create_dir_all(&dir)
                 .and_then(|()| std::fs::write(dir.join("metrics.json"), metrics.to_json()));

@@ -46,7 +46,8 @@ use obs::RunMetrics;
 use crate::engine::{Engine, JobFailure};
 use crate::fault::{FaultInjector, FaultStats};
 use crate::job::{JobResult, JobSpec};
-use crate::pool::PROGRESS_INTERVAL;
+use crate::live;
+use crate::pool::{Tally, PROGRESS_INTERVAL};
 
 /// Failure reports retained verbatim; anything beyond is counted in
 /// [`StreamStats::failed`] but not stored (a fully-failing million-
@@ -134,12 +135,9 @@ impl Engine {
         let faults = FaultInjector::new(self.config().faults);
         let workers = self.worker_count().max(1);
         let progress = self.config().progress;
-        let m_dropped = obs::registry::counter(
-            "engine_failures_dropped_total",
-            "Failure reports dropped by bounded retention (still counted as failed).",
-        );
 
-        let (mut failed, mut failures_dropped) = (0u64, 0u64);
+        // The calling thread's tally: devices pulled and failure reports.
+        let mut tally = Tally::default();
         let mut failures = Vec::new();
         // Healthy devices reach the calling thread only through this
         // count, which feeds the progress line and nothing else.
@@ -157,17 +155,16 @@ impl Engine {
             },
             |msg| {
                 if let Some(Err(failure)) = msg {
-                    failed += 1;
+                    tally.failed += 1;
                     if failures.len() < MAX_RETAINED_FAILURES {
                         failures.push(failure);
                     } else {
-                        failures_dropped += 1;
-                        m_dropped.inc();
+                        tally.failures_dropped += 1;
                     }
                 }
                 if progress && last_report.elapsed() >= PROGRESS_INTERVAL {
                     last_report = Instant::now();
-                    let done = folded.load(Ordering::Relaxed) + failed;
+                    let done = folded.load(Ordering::Relaxed) + tally.failed;
                     let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
                     obs::info!("[{batch}] {done} devices streamed — {rate:.0} devices/s");
                 }
@@ -177,13 +174,18 @@ impl Engine {
         for shard in pooled.accs {
             merge(&mut acc, shard);
         }
+        tally.total = pooled.pulled as u64;
+        // Publish the calling thread's own counts before adding the
+        // workers' tallies in: the workers published theirs.
+        live::publish(None, &tally);
+        tally.merge(&pooled.tally);
 
         let stats = StreamStats {
-            total: pooled.pulled as u64,
+            total: tally.total,
             // Counted where the fold happened, so a dead worker's
             // devices leave the count along with its shard.
-            executed: pooled.tally.executed,
-            failed,
+            executed: tally.executed,
+            failed: tally.failed,
             workers,
             dead_workers: pooled.dead,
             elapsed_us: started.elapsed().as_micros() as u64,
@@ -200,17 +202,8 @@ impl Engine {
             );
         }
 
-        let base = RunMetrics {
-            batch: batch.to_string(),
-            total: stats.total,
-            executed: stats.executed,
-            failed: stats.failed,
-            failures_dropped,
-            workers: stats.workers as u64,
-            wall_us: stats.elapsed_us,
-            ..Default::default()
-        };
-        let (metrics, profile) = self.conclude(base, &pooled.tally, pooled.spans);
+        let (metrics, profile) =
+            self.conclude(batch, workers, stats.elapsed_us, &tally, pooled.spans);
         StreamOutcome {
             acc,
             stats,

@@ -1,28 +1,29 @@
-//! The live metrics plane agrees with `metrics.json`.
+//! The live metrics page agrees with `metrics.json`.
 //!
-//! `/metrics` serves `obs::registry::render_prometheus()`, which the
-//! worker pool and the batch path bump while jobs run. Each run's
-//! `RunMetrics`, written as `metrics.json`, is derived afterwards from
-//! the workers' tallies. Both count the same jobs, so after any mix of
-//! batches and streams the scraped counters must equal the summed
-//! `RunMetrics` fields. The registry is process-global, so this test
-//! has its binary to itself.
+//! `/metrics` serves `engine::render_prometheus()`: the process-wide
+//! sum of the tallies that workers publish while they run and that
+//! each run's calling thread publishes when it ends. Each run's
+//! `RunMetrics`, written as `metrics.json`, is derived from the same
+//! tallies, so after any mix of batches and streams every scraped
+//! counter equals the summed `RunMetrics` field. The sum is
+//! process-global, so this test has its binary to itself.
 
 use std::path::PathBuf;
 
 use engine::{Engine, EngineConfig, FaultPlan, JobSpec, WorkloadSpec};
 use obs::RunMetrics;
-use policies::PolicyDesc;
+use policies::{PolicyDesc, VoltageRule};
 use sim_core::SimDuration;
 use workloads::Benchmark;
 
-/// `n` distinct 200-ms Web cells, seeded from `first_seed` up.
+/// `n` distinct 200-ms Web cells under the paper's best policy with
+/// voltage scaling, seeded from `first_seed` up.
 fn cells(n: u64, first_seed: u64) -> Vec<JobSpec> {
     (first_seed..first_seed + n)
         .map(|seed| {
             let mut spec = JobSpec::new(
                 WorkloadSpec::Benchmark(Benchmark::Web),
-                PolicyDesc::best_from_paper(),
+                PolicyDesc::best_from_paper().with_voltage_rule(VoltageRule::default()),
                 1,
                 seed,
             );
@@ -39,63 +40,105 @@ fn scrape(text: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no `{name}` sample in the scrape:\n{text}"))
 }
 
+/// Reads one count from a run's metrics.
+type Field = fn(&RunMetrics) -> u64;
+
+/// Every counter family beside the `metrics.json` field it sums.
+const FAMILIES: [(&str, Field); 12] = [
+    ("engine_cells_total", |m| m.total),
+    ("engine_jobs_executed_total", |m| m.executed),
+    ("engine_jobs_failed_total", |m| m.failed),
+    ("engine_job_retries_total", |m| m.retries),
+    ("engine_cache_hits_total", |m| m.cache_hits),
+    ("engine_journal_hits_total", |m| m.journal_hits),
+    ("engine_quarantined_total", |m| m.quarantined),
+    ("engine_failures_dropped_total", |m| m.failures_dropped),
+    ("engine_sim_us_total", |m| m.sim_us),
+    ("engine_sched_dropped_total", |m| m.sched_dropped),
+    ("engine_clock_switches_total", |m| m.clock_switches),
+    ("engine_voltage_switches_total", |m| m.voltage_switches),
+];
+
 #[test]
 fn scraped_counters_equal_summed_run_metrics() {
-    obs::registry::set_enabled(true);
     let root = std::env::temp_dir().join(format!("live-metrics-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    // Two workers, so every total passes through `Tally::merge`; the
-    // plan makes some cells retry and one run out of retries.
-    let engine = Engine::new(EngineConfig {
+    // Two workers, so every total passes through `Tally::merge`.
+    let config = EngineConfig {
         jobs: 2,
         use_cache: true,
         state_root: Some(PathBuf::from(&root)),
+        ..EngineConfig::hermetic()
+    };
+    // Some cells retry, some run out of retries, and half the cache
+    // reads come back corrupt.
+    let chaos = Engine::new(EngineConfig {
         faults: Some(FaultPlan {
             seed: 5,
             panic: 0.5,
             max_panics: 3,
+            corrupt: 0.5,
             ..FaultPlan::default()
         }),
-        ..EngineConfig::hermetic()
+        ..config.clone()
     });
     let grid = cells(24, 1);
-    let cold = engine.run_batch("live-metrics", &grid);
-    let warm = engine.run_batch("live-metrics", &grid);
-    let stream = engine.run_stream(
+    // The cold batch fails some cells, so it keeps its journal ...
+    let cold = chaos.run_batch("live-metrics", &grid);
+    // ... which a resumed run without cache or faults replays.
+    let resumed = Engine::new(EngineConfig {
+        resume: true,
+        use_cache: false,
+        ..config.clone()
+    })
+    .run_batch("live-metrics", &grid);
+    // The warm batch reads the cold batch's cache entries.
+    let warm = chaos.run_batch("live-metrics", &grid);
+    let healthy = Engine::new(config.clone()).run_stream(
         "live-metrics-stream",
         cells(16, 1_000),
         |n: &mut u64, _, _, _, _| *n += 1,
         |a, b| *a += b,
     );
-    obs::registry::set_enabled(false);
-    let text = obs::registry::render_prometheus();
+    // Every device fails, past the stream's retention cap of 32.
+    let failing = Engine::new(EngineConfig {
+        max_retries: 0,
+        faults: Some(FaultPlan {
+            panic: 1.0,
+            max_panics: u32::MAX,
+            ..FaultPlan::default()
+        }),
+        ..config
+    })
+    .run_stream(
+        "live-metrics-failing",
+        cells(40, 2_000),
+        |n: &mut u64, _, _, _, _| *n += 1,
+        |a, b| *a += b,
+    );
+    let text = engine::render_prometheus();
     let _ = std::fs::remove_dir_all(&root);
 
-    let runs: [&RunMetrics; 3] = [&cold.metrics, &warm.metrics, &stream.metrics];
-    let sum = |field: fn(&RunMetrics) -> u64| runs.iter().map(|m| field(m)).sum::<u64>();
-    let (executed, failed) = (sum(|m| m.executed), sum(|m| m.failed));
-    let retries = sum(|m| m.retries);
-    // Equality proves little unless the runs hit every path.
-    assert!(executed > 0 && failed > 0 && retries > 0, "{runs:?}");
-    assert!(
-        warm.metrics.cache_hits > 0,
-        "the warm batch reads the cache"
-    );
-
-    assert_eq!(scrape(&text, "engine_jobs_executed_total"), executed);
-    assert_eq!(scrape(&text, "engine_jobs_failed_total"), failed);
-    assert_eq!(scrape(&text, "engine_job_retries_total"), retries);
+    let runs = [
+        &cold.metrics,
+        &resumed.metrics,
+        &warm.metrics,
+        &healthy.metrics,
+        &failing.metrics,
+    ];
+    let sum = |field: Field| runs.iter().map(|m| field(m)).sum::<u64>();
+    for (name, field) in FAMILIES {
+        let want = sum(field);
+        assert_eq!(scrape(&text, name), want, "{name}");
+        // Equality proves little unless the runs hit every path. Only
+        // a bounded scheduler log drops records, and nothing sets one.
+        if name != "engine_sched_dropped_total" {
+            assert!(want > 0, "no run counted {name}: {runs:?}");
+        }
+    }
     assert_eq!(
         scrape(&text, "engine_job_latency_us_count"),
-        executed + failed,
+        sum(|m| m.executed) + sum(|m| m.failed),
         "one latency sample per job a worker ran"
-    );
-    assert_eq!(
-        scrape(&text, "engine_cache_hits_total"),
-        cold.metrics.cache_hits + warm.metrics.cache_hits
-    );
-    assert_eq!(
-        scrape(&text, "engine_cells_total"),
-        cold.metrics.total + warm.metrics.total
     );
 }

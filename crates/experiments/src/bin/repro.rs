@@ -106,6 +106,20 @@ fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(value)
 }
 
+/// Consumes `--flag <value>` from `args` and parses it; `None` if
+/// absent. A value that does not parse exits 2, naming the flag.
+fn take_parsed<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    take_value_flag(args, flag).map(|v| {
+        v.parse().unwrap_or_else(|e| {
+            eprintln!("bad {flag} value: {e}");
+            std::process::exit(2);
+        })
+    })
+}
+
 /// Consumes a bare `--flag` from `args`; true if present.
 fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
     match args.iter().position(|a| a == flag) {
@@ -137,52 +151,13 @@ fn print_metrics(metrics: &obs::RunMetrics) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let seed: u64 = take_value_flag(&mut args, "--seed")
-        .map(|v| {
-            v.parse().unwrap_or_else(|e| {
-                eprintln!("bad seed: {e}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(1);
-    let jobs: usize = take_value_flag(&mut args, "--jobs")
-        .map(|v| {
-            v.parse().unwrap_or_else(|e| {
-                eprintln!("bad --jobs value: {e}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0);
-    let sweep_secs: Option<u64> = take_value_flag(&mut args, "--sweep-secs").map(|v| {
-        v.parse().unwrap_or_else(|e| {
-            eprintln!("bad --sweep-secs value: {e}");
-            std::process::exit(2);
-        })
-    });
-    let trace_secs: Option<u64> = take_value_flag(&mut args, "--trace-secs").map(|v| {
-        v.parse().unwrap_or_else(|e| {
-            eprintln!("bad --trace-secs value: {e}");
-            std::process::exit(2);
-        })
-    });
-    let optgap_secs: Option<u64> = take_value_flag(&mut args, "--optgap-secs").map(|v| {
-        v.parse().unwrap_or_else(|e| {
-            eprintln!("bad --optgap-secs value: {e}");
-            std::process::exit(2);
-        })
-    });
-    let devices: Option<u64> = take_value_flag(&mut args, "--devices").map(|v| {
-        v.parse().unwrap_or_else(|e| {
-            eprintln!("bad --devices value: {e}");
-            std::process::exit(2);
-        })
-    });
-    let device_secs: Option<u64> = take_value_flag(&mut args, "--device-secs").map(|v| {
-        v.parse().unwrap_or_else(|e| {
-            eprintln!("bad --device-secs value: {e}");
-            std::process::exit(2);
-        })
-    });
+    let seed: u64 = take_parsed(&mut args, "--seed").unwrap_or(1);
+    let jobs: usize = take_parsed(&mut args, "--jobs").unwrap_or(0);
+    let sweep_secs: Option<u64> = take_parsed(&mut args, "--sweep-secs");
+    let trace_secs: Option<u64> = take_parsed(&mut args, "--trace-secs");
+    let optgap_secs: Option<u64> = take_parsed(&mut args, "--optgap-secs");
+    let devices: Option<u64> = take_parsed(&mut args, "--devices");
+    let device_secs: Option<u64> = take_parsed(&mut args, "--device-secs");
     let fidelity: Option<sim_core::SimFidelity> =
         take_value_flag(&mut args, "--fidelity").map(|v| {
             sim_core::SimFidelity::parse(&v).unwrap_or_else(|| {
@@ -199,7 +174,8 @@ fn main() {
         obs::span::set_enabled(true);
     }
     if let Some(addr) = take_value_flag(&mut args, "--metrics-addr") {
-        let bound = obs::exporter::start(&addr, obs::exporter::stall_threshold_ms())
+        let stall_ms = obs::exporter::stall_threshold_ms();
+        let bound = obs::exporter::start(&addr, stall_ms, engine::render_prometheus)
             .unwrap_or_else(|e| {
                 eprintln!("cannot serve --metrics-addr {addr}: {e}");
                 std::process::exit(2);
@@ -213,20 +189,8 @@ fn main() {
         }
     }
     let baseline: Option<String> = take_value_flag(&mut args, "--baseline");
-    let bench_tolerance: f64 = take_value_flag(&mut args, "--bench-tolerance")
-        .map(|v| {
-            v.parse().unwrap_or_else(|e| {
-                eprintln!("bad --bench-tolerance value: {e}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(30.0);
-    let bench_iters: Option<u32> = take_value_flag(&mut args, "--bench-iters").map(|v| {
-        v.parse().unwrap_or_else(|e| {
-            eprintln!("bad --bench-iters value: {e}");
-            std::process::exit(2);
-        })
-    });
+    let bench_tolerance: f64 = take_parsed(&mut args, "--bench-tolerance").unwrap_or(30.0);
+    let bench_iters: Option<u32> = take_parsed(&mut args, "--bench-iters");
     let faults: Option<FaultPlan> = take_value_flag(&mut args, "--fault-plan").map(|v| {
         let parsed = match v.strip_prefix("chaos:") {
             Some(seed) => seed

@@ -59,6 +59,16 @@ fn unknown_experiment_exits_nonzero() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"));
 }
 
+#[test]
+fn a_bad_flag_value_exits_2_naming_the_flag() {
+    for flag in ["--jobs", "--seed"] {
+        let out = repro().args([flag, "x", "fig5"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("bad {flag} value: ")), "{stderr}");
+    }
+}
+
 /// Reads the first top-level occurrence of `"key": value` from a
 /// metrics.json document (per-policy entries come last by design).
 fn json_u64(doc: &str, key: &str) -> u64 {

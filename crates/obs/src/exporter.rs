@@ -3,32 +3,30 @@
 //!
 //! No HTTP library — a scrape is one short request and one
 //! `text/plain` response, which forty lines of std cover. [`start`]
-//! is the whole telemetry plane's ignition switch: it flips the
-//! [`crate::registry`] recording gate, arms the
+//! is the whole telemetry plane's ignition switch: it arms the
 //! [`crate::watchdog`], binds the listener (port `0` asks the kernel
 //! for a free port; the bound address is returned and logged), and
 //! spawns two detached threads:
 //!
-//! - the **exporter** thread answers every connection with a fresh
-//!   [`crate::registry::render_prometheus`] snapshot;
-//! - the **snapshot** thread wakes a few times a second to derive rate
-//!   gauges (jobs/s, cache hit rate) from the raw counters and to run
-//!   one watchdog patrol.
+//! - the **exporter** thread answers every connection with what the
+//!   caller's render function returns at that moment, followed by
+//!   `obs_uptime_seconds` and `obs_worker_stalls_total`;
+//! - the **snapshot** thread runs one watchdog patrol a few times a
+//!   second.
 //!
-//! Both threads are wall-clock side channels: they read atomics the
-//! hot paths publish and never touch simulation state, so every
-//! deterministic artifact is byte-identical with the exporter on or
-//! off.
+//! This crate counts nothing itself: the render function reads
+//! whatever its owner counted (the engine passes its own). Both
+//! threads are wall-clock side channels and never touch simulation
+//! state, so every deterministic artifact is byte-identical with the
+//! exporter on or off.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use crate::registry;
 use crate::watchdog;
 
-/// How often the snapshot thread refreshes derived gauges and patrols
-/// heartbeats.
+/// How often the snapshot thread patrols heartbeats.
 const SNAPSHOT_EVERY: Duration = Duration::from_millis(250);
 
 /// Default stall threshold: a worker silent for this long while busy is
@@ -41,30 +39,33 @@ pub fn stall_threshold_ms() -> u64 {
         .unwrap_or(5_000)
 }
 
-/// Starts the whole live telemetry plane and returns the bound address
-/// (useful with port 0). Recording stays enabled for the process
-/// lifetime; the threads are detached and die with the process.
-pub fn start(addr: &str, stall_ms: u64) -> std::io::Result<SocketAddr> {
+/// Starts the whole live telemetry plane, serving `render()` at every
+/// scrape, and returns the bound address (useful with port 0). The
+/// threads are detached and die with the process.
+pub fn start(addr: &str, stall_ms: u64, render: fn() -> String) -> std::io::Result<SocketAddr> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    registry::set_enabled(true);
+    let started = Instant::now();
     watchdog::set_active(true);
     std::thread::Builder::new()
         .name("obs-exporter".to_string())
-        .spawn(move || serve_loop(&listener))?;
+        .spawn(move || serve_loop(&listener, started, render))?;
     std::thread::Builder::new()
         .name("obs-snapshot".to_string())
-        .spawn(move || snapshot_loop(stall_ms))?;
+        .spawn(move || loop {
+            std::thread::sleep(SNAPSHOT_EVERY);
+            watchdog::patrol(stall_ms);
+        })?;
     Ok(local)
 }
 
-fn serve_loop(listener: &TcpListener) {
+fn serve_loop(listener: &TcpListener, started: Instant, render: fn() -> String) {
     for stream in listener.incoming() {
         match stream {
             Ok(stream) => {
                 // Scrapes are rare (seconds apart) and tiny; serving
                 // inline keeps the exporter single-threaded and dumb.
-                let _ = respond(stream);
+                let _ = respond(stream, started, render);
             }
             Err(e) => {
                 crate::debug!("obs: exporter accept error: {e}");
@@ -73,7 +74,7 @@ fn serve_loop(listener: &TcpListener) {
     }
 }
 
-fn respond(mut stream: TcpStream) -> std::io::Result<()> {
+fn respond(mut stream: TcpStream, started: Instant, render: fn() -> String) -> std::io::Result<()> {
     // Drain (up to a sane bound) whatever request line and headers the
     // scraper sent; the response is the same for any path.
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
@@ -91,7 +92,17 @@ fn respond(mut stream: TcpStream) -> std::io::Result<()> {
             Err(_) => break,
         }
     }
-    let body = registry::render_prometheus();
+    let body = format!(
+        "{}# HELP obs_uptime_seconds Seconds since the telemetry plane started.\n\
+         # TYPE obs_uptime_seconds gauge\n\
+         obs_uptime_seconds {}\n\
+         # HELP obs_worker_stalls_total Stall onsets detected by the heartbeat watchdog.\n\
+         # TYPE obs_worker_stalls_total counter\n\
+         obs_worker_stalls_total {}\n",
+        render(),
+        started.elapsed().as_secs_f64(),
+        watchdog::stalls(),
+    );
     let header = format!(
         "HTTP/1.1 200 OK\r\n\
          Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
@@ -104,57 +115,10 @@ fn respond(mut stream: TcpStream) -> std::io::Result<()> {
     stream.flush()
 }
 
-/// Derives the rate/ratio gauges from raw counters and patrols the
-/// watchdog, forever.
-fn snapshot_loop(stall_ms: u64) {
-    let started = Instant::now();
-    let mut last = Instant::now();
-    let mut last_jobs = 0u64;
-    loop {
-        std::thread::sleep(SNAPSHOT_EVERY);
-        let dt = last.elapsed().as_secs_f64().max(1e-9);
-        last = Instant::now();
-
-        // Jobs (== devices, in a fleet stream) completed per second,
-        // over the last snapshot interval. Registered eagerly so the
-        // family is scrapeable (at 0) before the first job lands.
-        let now_jobs =
-            registry::find_counter("engine_jobs_executed_total").map_or(0, |jobs| jobs.get());
-        let rate = (now_jobs.saturating_sub(last_jobs)) as f64 / dt;
-        last_jobs = now_jobs;
-        registry::float_gauge(
-            "engine_jobs_per_sec",
-            "Jobs (fleet: devices) completed per second, last snapshot interval.",
-        )
-        .set(rate);
-
-        // Cache hit rate so far (batch engine; stays 0 for streams,
-        // which bypass the cache by design).
-        let hits = registry::find_counter("engine_cache_hits_total").map_or(0, |c| c.get());
-        let cells = registry::find_counter("engine_cells_total").map_or(0, |c| c.get());
-        registry::float_gauge(
-            "engine_cache_hit_rate",
-            "Cache hits over cells requested, so far this process.",
-        )
-        .set(if cells > 0 {
-            hits as f64 / cells as f64
-        } else {
-            0.0
-        });
-
-        registry::float_gauge(
-            "obs_uptime_seconds",
-            "Seconds since the telemetry plane started.",
-        )
-        .set(started.elapsed().as_secs_f64());
-
-        watchdog::patrol(stall_ms);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Minimal in-process scraper: connect, send a GET, read to EOF.
     fn scrape(addr: SocketAddr) -> String {
@@ -167,12 +131,18 @@ mod tests {
         response
     }
 
+    static TEST_COUNT: AtomicU64 = AtomicU64::new(3);
+
+    fn render() -> String {
+        let n = TEST_COUNT.load(Ordering::Relaxed);
+        format!("# TYPE exporter_test_total counter\nexporter_test_total {n}\n")
+    }
+
     #[test]
     fn exporter_serves_prometheus_text_end_to_end() {
-        let _guard = registry::test_serial();
-        let addr = start("127.0.0.1:0", 60_000).expect("bind port 0");
+        let _guard = watchdog::test_serial();
+        let addr = start("127.0.0.1:0", 60_000, render).expect("bind port 0");
         assert_ne!(addr.port(), 0, "kernel assigned a real port");
-        registry::counter("exporter_test_total", "end-to-end test counter").add(3);
         let response = scrape(addr);
         assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
         assert!(response.contains("Content-Type: text/plain; version=0.0.4"));
@@ -180,12 +150,12 @@ mod tests {
             .split("\r\n\r\n")
             .nth(1)
             .expect("header/body split");
-        assert!(body.contains("# TYPE exporter_test_total counter"));
-        assert!(body.contains("exporter_test_total 3"));
-        // A second scrape sees fresh values.
-        registry::counter("exporter_test_total", "end-to-end test counter").add(1);
+        assert!(body.starts_with("# TYPE exporter_test_total counter\nexporter_test_total 3\n"));
+        assert!(body.contains("\n# TYPE obs_uptime_seconds gauge\nobs_uptime_seconds "));
+        assert!(body.contains("\n# TYPE obs_worker_stalls_total counter\nobs_worker_stalls_total "));
+        // A second scrape renders afresh.
+        TEST_COUNT.store(4, Ordering::Relaxed);
         assert!(scrape(addr).contains("exporter_test_total 4"));
-        registry::set_enabled(false);
         watchdog::set_active(false);
     }
 }

@@ -23,12 +23,10 @@
 //!   guards recording into per-thread buffers, merged per batch into a
 //!   [`SpanTree`] and exportable as a Chrome flame-chart track. Off by
 //!   default ([`span::set_enabled`]); `repro --profile` turns it on.
-//! - [`registry`] — the live telemetry plane's process-global metric
-//!   registry: typed counters/gauges/histograms with static handles,
-//!   near-free when disabled, rendered as Prometheus text.
 //! - [`exporter`] — the `/metrics` endpoint over a bare
-//!   `TcpListener` plus the snapshot thread deriving rate gauges;
-//!   `repro --metrics-addr` turns it on.
+//!   `TcpListener`: it serves whatever render function its caller
+//!   passes (the engine renders its counts) and patrols the stall
+//!   watchdog; `repro --metrics-addr` turns it on.
 //! - [`watchdog`] — per-worker heartbeats and the stall watchdog that
 //!   warns, live, when a worker stops making progress.
 //! - [`host`] — host facts (CPU model, core count, kernel version) and
@@ -39,7 +37,6 @@ pub mod export;
 pub mod exporter;
 pub mod host;
 pub mod logger;
-pub mod registry;
 pub mod run_metrics;
 pub mod span;
 pub mod watchdog;

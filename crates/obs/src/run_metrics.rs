@@ -1,10 +1,10 @@
 //! The per-batch metrics summary written as `metrics.json`.
 //!
 //! [`RunMetrics`] is the operator-facing rollup the engine derives from
-//! a run's counts (the engine's `BatchStats` or `StreamStats`) plus its
-//! workers' merged tallies: how much work the batch did, how much the
-//! cache absorbed, and how the simulated machines behaved (transition
-//! counts, dropped scheduler records).
+//! a run's merged tally (the same counts its live `/metrics` page
+//! sums): how much work the batch did, how much the cache absorbed,
+//! and how the simulated machines behaved (transition counts, dropped
+//! scheduler records).
 //!
 //! The JSON is hand-rolled like every other serializer in this
 //! workspace (there is no `serde` dependency). Derived

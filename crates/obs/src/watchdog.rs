@@ -20,9 +20,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Whether heartbeat recording is on. Separate from the metrics
-/// registry switch so tests can drive the watchdog without an exporter.
+/// Whether heartbeat recording is on. The exporter turns it on; tests
+/// drive the watchdog without one.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
+
+/// Stall onsets [`patrol`] has reported in this process.
+static STALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Turns heartbeat recording on or off process-wide.
 pub fn set_active(on: bool) {
@@ -155,24 +158,29 @@ pub fn patrol(threshold_ms: u64) -> Vec<Stall> {
             s.job,
             s.stalled_ms
         );
-        crate::registry::counter(
-            "obs_worker_stalls_total",
-            "Stall onsets detected by the heartbeat watchdog.",
-        )
-        .inc();
     }
+    STALLS.fetch_add(stalls.len() as u64, Ordering::Relaxed);
     stalls
+}
+
+/// Stall onsets reported so far in this process.
+pub fn stalls() -> u64 {
+    STALLS.load(Ordering::Relaxed)
+}
+
+/// Serializes tests that flip the process-global [`set_active`] switch
+/// (shared with the exporter's tests, which arm it too).
+#[cfg(test)]
+pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Heartbeat state is process-global; serialize the tests.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use super::test_serial as serial;
 
     #[test]
     fn inactive_heartbeats_never_stall() {

@@ -250,8 +250,12 @@ impl ClockPolicy for IntervalScheduler {
         trace: &mut obs::Trace,
     ) -> PolicyRequest {
         let req = self.on_interval(now, utilization, current_step);
-        let weighted = self.predictor.current();
-        emit_decision(trace, now, utilization, weighted, current_step, req);
+        // `current` may rescan the history `observe` just scanned, so
+        // it runs only when the event is kept.
+        if trace.is_enabled() {
+            let weighted = self.predictor.current();
+            emit_decision(trace, now, utilization, weighted, current_step, req);
+        }
         req
     }
 
@@ -306,6 +310,8 @@ impl ClockPolicy for ConstantPolicy {
 mod tests {
     use super::*;
     use crate::predictor::{AvgN, Past};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn best() -> IntervalScheduler {
         IntervalScheduler::best_from_paper(ClockTable::sa1100())
@@ -458,6 +464,45 @@ mod tests {
             assert_eq!(a, b, "tracing must not perturb decisions");
         }
         assert!(trace.is_empty());
+    }
+
+    /// PAST that counts the calls to `current`.
+    struct CountingPast(Past, Arc<AtomicUsize>);
+
+    impl Predictor for CountingPast {
+        fn observe(&mut self, utilization: f64) -> f64 {
+            self.0.observe(utilization)
+        }
+
+        fn current(&self) -> f64 {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.current()
+        }
+
+        fn name(&self) -> String {
+            self.0.name()
+        }
+    }
+
+    #[test]
+    fn untraced_intervals_never_read_the_prediction_back() {
+        let calls = Arc::default();
+        let mut p = IntervalScheduler::new(
+            Box::new(CountingPast(Past::new(), Arc::clone(&calls))),
+            Hysteresis::BEST,
+            SpeedChange::Peg,
+            SpeedChange::Peg,
+            ClockTable::sa1100(),
+        );
+        let mut trace = obs::Trace::off();
+        for i in 0..100 {
+            let now = SimTime::from_millis(10 * (i + 1));
+            p.on_interval_traced(now, (i % 3) as f64 / 2.0, 5, &mut trace);
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+        let mut trace = obs::Trace::on();
+        p.on_interval_traced(SimTime::from_secs(2), 1.0, 5, &mut trace);
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]
