@@ -341,6 +341,10 @@ impl Engine {
             slots.push(hit.map(Ok));
         }
 
+        // Publish what was settled up front before any worker runs, so
+        // a scrape never shows more jobs executed than cells.
+        live::publish(None, &tally);
+
         let pending: Vec<(usize, JobSpec)> = slots
             .iter()
             .enumerate()
@@ -364,6 +368,7 @@ impl Engine {
         let pooled = self.pool(
             workers,
             0,
+            false,
             &faults,
             pending.into_iter(),
             |_: &mut (), i, _, result, _| Some((i, result)),
@@ -426,9 +431,15 @@ impl Engine {
             })
             .collect();
         tally.failed = results.iter().filter(|r| r.is_err()).count() as u64;
-        // Publish the calling thread's own counts before adding the
-        // workers' tallies in: the workers published theirs.
-        live::publish(None, &tally);
+        // The rest of the calling thread's counts; the workers
+        // published theirs.
+        live::publish(
+            None,
+            &Tally {
+                failed: tally.failed,
+                ..Tally::default()
+            },
+        );
         tally.merge(&pooled.tally);
         let failed = tally.failed;
 

@@ -2,10 +2,12 @@
 //! [`Tally`], rendered as Prometheus text.
 //!
 //! Workers publish what they counted every quarter second and when
-//! they run dry; the calling thread publishes its own counts when its
-//! run ends (see the pool's module docs). A scrape renders the sum, so
-//! at the end of a run it equals the summed `metrics.json` fields:
-//! both read the same tallies. Nothing here feeds back into a
+//! they run dry; a batch's calling thread publishes its cells and
+//! reused results before its pool starts, and its failures when the
+//! pool ends (see the pool's module docs). A scrape renders the sum, so
+//! it never shows more jobs executed than cells, and at the end of a
+//! run it equals the summed `metrics.json` fields: both read the same
+//! tallies. Nothing here feeds back into a
 //! simulation, so every deterministic artifact is the same whether
 //! anyone scrapes or not.
 

@@ -20,8 +20,12 @@
 //! Each worker counts into a fresh tally and, every [`PUBLISH_EVERY`]
 //! and when it runs dry, publishes it to the process-wide sum behind
 //! `/metrics` (see `live`) and adds it into its run tally. The calling
-//! thread publishes its own counts once, when the run ends, before it
-//! adds the workers' tallies in. Every count is therefore recorded once
+//! thread publishes its own counts before it adds the workers' tallies
+//! in: a batch publishes its cells and the results it reused before the
+//! pool starts and its failures after it ends. A stream's cells are
+//! unknown until pulled, so its workers count each device they pull in
+//! the tally that also counts its execution. Either way a scrape never
+//! shows more jobs executed than cells. Every count is recorded once
 //! and read twice: by `metrics.json` and by a scrape.
 //!
 //! A job's content key is computed only when something reads it: an
@@ -60,7 +64,8 @@ const PUBLISH_EVERY: Duration = Duration::from_millis(250);
 /// process-wide sum of every published one.
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
-    /// Cells (a stream: devices) the run requested.
+    /// Cells (a stream: devices) the run requested. A stream's workers
+    /// count the devices they pull.
     pub(crate) total: u64,
     /// Jobs run to completion on a worker. Results a batch reuses from
     /// its journal or cache are recorded but not counted here.
@@ -233,10 +238,14 @@ impl Engine {
     /// [`PROGRESS_INTERVAL`] passes with nothing to drain, so a caller
     /// whose jobs send nothing can still report progress.
     /// `timeline_windows > 0` runs jobs with the windowed timeline.
+    /// `count_pulled` has each worker count every job it pulls as a
+    /// cell, for a caller that cannot count its cells up front.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn pool<I, A, T, F, D>(
         &self,
         workers: usize,
         timeline_windows: u32,
+        count_pulled: bool,
         faults: &FaultInjector,
         jobs: I,
         finish: F,
@@ -256,7 +265,17 @@ impl Engine {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     let (tx, source, finish) = (tx.clone(), &source, &finish);
-                    s.spawn(move || self.work(w, source, faults, timeline_windows, finish, tx))
+                    s.spawn(move || {
+                        self.work(
+                            w,
+                            source,
+                            faults,
+                            timeline_windows,
+                            count_pulled,
+                            finish,
+                            tx,
+                        )
+                    })
                 })
                 .collect();
             // Only worker clones keep the channel open, so the drain
@@ -298,12 +317,14 @@ impl Engine {
     /// One worker: takes jobs until the source runs dry, runs each in the
     /// retry fence, and sends failures and whatever `finish` returns
     /// down `tx`. Returns its accumulator, its run tally and its spans.
+    #[allow(clippy::too_many_arguments)]
     fn work<I, A, T, F>(
         &self,
         w: usize,
         source: &Mutex<(usize, I)>,
         faults: &FaultInjector,
         timeline_windows: u32,
+        count_pulled: bool,
         finish: &F,
         tx: mpsc::SyncSender<Result<T, JobFailure>>,
     ) -> (A, Tally, obs::ThreadSpans)
@@ -329,6 +350,10 @@ impl Engine {
             Some(job)
         };
         while let Some((index, spec)) = next() {
+            // Counted before the job runs, in the tally that will count
+            // its execution, so no publish shows the one without the
+            // other.
+            fresh.total += u64::from(count_pulled);
             let job_span = obs::span::enter("job");
             let started = Instant::now();
             // Computed on first read only (see the module docs).
@@ -484,6 +509,7 @@ mod tests {
         let pooled = engine.pool(
             2,
             0,
+            true,
             &faults,
             jobs,
             |acc: &mut u64, _, _, _, _| {

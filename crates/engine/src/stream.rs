@@ -136,7 +136,8 @@ impl Engine {
         let workers = self.worker_count().max(1);
         let progress = self.config().progress;
 
-        // The calling thread's tally: devices pulled and failure reports.
+        // The calling thread's tally: failure reports, and the devices
+        // that workers pulled but could not count.
         let mut tally = Tally::default();
         let mut failures = Vec::new();
         // Healthy devices reach the calling thread only through this
@@ -146,6 +147,7 @@ impl Engine {
         let pooled = self.pool(
             workers,
             self.config().timeline_windows,
+            true,
             &faults,
             specs.into_iter().enumerate(),
             |acc: &mut A, i, spec, result, timeline| {
@@ -174,7 +176,10 @@ impl Engine {
         for shard in pooled.accs {
             merge(&mut acc, shard);
         }
-        tally.total = pooled.pulled as u64;
+        // Workers counted the devices they pulled; a dead worker's
+        // count died with it, so the run's total still covers every
+        // device pulled.
+        tally.total = pooled.pulled as u64 - pooled.tally.total;
         // Publish the calling thread's own counts before adding the
         // workers' tallies in: the workers published theirs.
         live::publish(None, &tally);

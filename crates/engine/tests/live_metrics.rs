@@ -2,13 +2,16 @@
 //!
 //! `/metrics` serves `engine::render_prometheus()`: the process-wide
 //! sum of the tallies that workers publish while they run and that
-//! each run's calling thread publishes when it ends. Each run's
-//! `RunMetrics`, written as `metrics.json`, is derived from the same
-//! tallies, so after any mix of batches and streams every scraped
-//! counter equals the summed `RunMetrics` field. The sum is
+//! each run's calling thread publishes. Each run's `RunMetrics`,
+//! written as `metrics.json`, is derived from the same tallies, so
+//! after any mix of batches and streams every scraped counter equals
+//! the summed `RunMetrics` field, and a scrape taken mid-run never
+//! shows more jobs executed than cells requested. The sum is
 //! process-global, so this test has its binary to itself.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 use engine::{Engine, EngineConfig, FaultPlan, JobSpec, WorkloadSpec};
 use obs::RunMetrics;
@@ -59,6 +62,48 @@ const FAMILIES: [(&str, Field); 12] = [
     ("engine_voltage_switches_total", |m| m.voltage_switches),
 ];
 
+/// Runs `run` while a second thread scrapes `/metrics` every 20 ms.
+/// Returns what `run` returned and, for each scrape, the cells and
+/// executed jobs counted since `run` started.
+fn scraped_while<T>(run: impl FnOnce() -> T) -> (T, Vec<(u64, u64)>) {
+    let counts = || {
+        let text = engine::render_prometheus();
+        (
+            scrape(&text, "engine_cells_total"),
+            scrape(&text, "engine_jobs_executed_total"),
+        )
+    };
+    let (cells0, executed0) = counts();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let scraper = s.spawn(|| {
+            let mut seen = Vec::new();
+            while !done.load(Ordering::SeqCst) {
+                let (cells, executed) = counts();
+                seen.push((cells - cells0, executed - executed0));
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            seen
+        });
+        let out = run();
+        done.store(true, Ordering::SeqCst);
+        (out, scraper.join().expect("scraper thread"))
+    })
+}
+
+/// Checks the scrapes of one run that executed `executed` jobs: none
+/// shows more jobs executed than cells, and one taken while jobs were
+/// still unpublished, so before the run returned, already shows cells.
+fn assert_cells_lead(what: &str, seen: &[(u64, u64)], executed: u64) {
+    for &(c, e) in seen {
+        assert!(c >= e, "{what}: a scrape read {c} cells but {e} executed");
+    }
+    assert!(
+        seen.iter().any(|&(c, e)| c > 0 && e < executed),
+        "{what}: no mid-run scrape showed cells: {seen:?}"
+    );
+}
+
 #[test]
 fn scraped_counters_equal_summed_run_metrics() {
     let root = std::env::temp_dir().join(format!("live-metrics-{}", std::process::id()));
@@ -82,6 +127,29 @@ fn scraped_counters_equal_summed_run_metrics() {
         }),
         ..config.clone()
     });
+    // Mid-run scrapes: every job stalls 25 ms of wall clock, so both
+    // runs outlast the workers' 250-ms publish interval.
+    let stalled = Engine::new(EngineConfig {
+        faults: Some(FaultPlan {
+            stall: 1.0,
+            stall_ms: 25,
+            ..FaultPlan::default()
+        }),
+        ..config.clone()
+    });
+    let (slow_stream, seen) = scraped_while(|| {
+        stalled.run_stream(
+            "live-metrics-slow-stream",
+            cells(40, 3_000),
+            |n: &mut u64, _, _, _, _| *n += 1,
+            |a, b| *a += b,
+        )
+    });
+    assert_cells_lead("stream", &seen, slow_stream.metrics.executed);
+    let (slow_batch, seen) =
+        scraped_while(|| stalled.run_batch("live-metrics-slow-batch", &cells(24, 4_000)));
+    assert_cells_lead("cold batch", &seen, slow_batch.metrics.executed);
+
     let grid = cells(24, 1);
     // The cold batch fails some cells, so it keeps its journal ...
     let cold = chaos.run_batch("live-metrics", &grid);
@@ -120,6 +188,8 @@ fn scraped_counters_equal_summed_run_metrics() {
     let _ = std::fs::remove_dir_all(&root);
 
     let runs = [
+        &slow_stream.metrics,
+        &slow_batch.metrics,
         &cold.metrics,
         &resumed.metrics,
         &warm.metrics,

@@ -95,8 +95,7 @@ pub fn run() -> BatteryExp {
         KernelConfig {
             duration: SimDuration::from_secs(3 * 3600),
             stop_when_battery_empty: true,
-            record_power: false,
-            log_sched: false,
+            record: false,
             ..KernelConfig::default()
         },
     );

@@ -46,8 +46,7 @@ fn measure(step: usize, work: Work) -> f64 {
         Machine::itsy(step, DeviceSet::NONE),
         KernelConfig {
             duration: SimDuration::from_secs(60),
-            record_power: false,
-            log_sched: false,
+            record: false,
             ..KernelConfig::default()
         },
     );

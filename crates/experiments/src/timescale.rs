@@ -73,8 +73,6 @@ pub fn run(seed: u64) -> Timescale {
         Machine::itsy(10, DeviceSet::NONE),
         KernelConfig {
             duration: SimDuration::from_secs(30),
-            record_power: false,
-            log_sched: false,
             ..KernelConfig::default()
         },
     );

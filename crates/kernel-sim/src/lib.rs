@@ -39,5 +39,5 @@ pub mod task;
 pub use log::{DeadlineLog, DeadlineRecord, SchedLog, SchedRecord};
 pub use machine::Machine;
 pub use report::{KernelReport, WindowSample};
-pub use sched::{Kernel, KernelConfig, SimScratch};
+pub use sched::{Kernel, KernelConfig};
 pub use task::{Pid, TaskAction, TaskBehavior, TaskCtx};

@@ -59,8 +59,7 @@ proptest! {
             Machine::itsy(step, DeviceSet::NONE),
             KernelConfig {
                 duration: SimDuration::from_secs(4),
-                record_power: false,
-                log_sched: false,
+                record: false,
                 ..KernelConfig::default()
             },
         );
@@ -120,8 +119,7 @@ proptest! {
             Machine::itsy(step, DeviceSet::NONE),
             KernelConfig {
                 duration: SimDuration::from_secs(1),
-                record_power: false,
-                log_sched: false,
+                record: false,
                 ..KernelConfig::default()
             },
         );

@@ -27,24 +27,6 @@ impl TimeSeries {
         }
     }
 
-    /// Creates an empty series that reuses `buf`'s allocation.
-    ///
-    /// Pairs with [`TimeSeries::into_buffer`] so hot batch loops can
-    /// recycle the backing storage across runs instead of reallocating.
-    pub fn with_buffer(name: impl Into<String>, mut buf: Vec<(u64, f64)>) -> Self {
-        buf.clear();
-        TimeSeries {
-            name: name.into(),
-            points: buf,
-        }
-    }
-
-    /// Consumes the series and returns its backing storage for reuse
-    /// via [`TimeSeries::with_buffer`].
-    pub fn into_buffer(self) -> Vec<(u64, f64)> {
-        self.points
-    }
-
     /// Appends a sample.
     ///
     /// # Panics

@@ -241,7 +241,6 @@ mod tests {
             Machine::itsy(10, DeviceSet::LCD),
             KernelConfig {
                 duration: SimDuration::from_secs(400),
-                record_power: false,
                 ..KernelConfig::default()
             },
         );

@@ -66,8 +66,7 @@ proptest! {
             Machine::itsy(10, itsy_hw::DeviceSet::AV),
             KernelConfig {
                 duration: SimDuration::from_secs(3),
-                record_power: false,
-                log_sched: false,
+                record: false,
                 ..KernelConfig::default()
             },
         );
@@ -93,8 +92,6 @@ fn benchmarks_are_distinguishable() {
             Machine::itsy(10, b.devices()),
             KernelConfig {
                 duration: SimDuration::from_secs(60),
-                record_power: false,
-                log_sched: false,
                 ..KernelConfig::default()
             },
         );
