@@ -75,9 +75,9 @@
 //! misses, utilization and battery drain over simulated time, same
 //! determinism guarantee) and the usual `metrics.json` (including
 //! `peak_rss_bytes`).
-//! Devices simulate at summary fidelity by default (no per-tick series
-//! are materialized); `--fidelity full` restores the historical
-//! series-recording path.
+//! Devices simulate at summary fidelity by default (uniform spans are
+//! committed in closed form); `--fidelity full` runs the historical
+//! tick-by-tick arithmetic. Neither records per-tick series.
 //!
 //! `bench` is the performance-regression harness (see EXPERIMENTS.md)
 //! for the paths perfbench has no workload for: it times a

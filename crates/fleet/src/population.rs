@@ -54,9 +54,10 @@ pub struct PopulationConfig {
     pub policy: PolicyDesc,
     /// Simulation fidelity for every device run. Fleet screening only
     /// consumes scalar summaries, so the default is
-    /// [`SimFidelity::Summary`] — the kernel skips per-tick series
-    /// emission entirely. The fidelity is part of each device's job
-    /// key, so Summary and Full populations never share cache entries.
+    /// [`SimFidelity::Summary`], which commits uniform spans in closed
+    /// form; neither fidelity records per-tick series. The fidelity is
+    /// part of each device's job key, so Summary and Full populations
+    /// never share cache entries.
     pub fidelity: SimFidelity,
 }
 

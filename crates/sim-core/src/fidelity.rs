@@ -1,43 +1,44 @@
-//! Simulation fidelity: what a run is obligated to record.
+//! Simulation fidelity: how a run accumulates its results.
 //!
 //! Every simulation computes the same *physics* — task execution, policy
-//! decisions, clock/voltage switches, battery drain — but consumers
-//! differ in what they read back. Figure-producing experiments consume
-//! per-tick [`crate::TimeSeries`] samples; the fleet path folds each
-//! device into integer-exact sketches and discards the per-tick data
-//! unread. [`SimFidelity`] names that contract so the kernel can skip
-//! work whose output nobody will observe.
+//! decisions, clock/voltage switches, battery drain. Full fidelity
+//! integrates energy segment by segment and folds each tick's
+//! utilization and frequency samples into `f64` running sums; Summary
+//! fidelity commits provably uniform spans in closed form, with exact
+//! integer accumulators and one energy term per span. Whether a run
+//! also keeps its per-tick samples as [`crate::TimeSeries`] is not the
+//! fidelity but the kernel's own `record` switch, honoured at Full
+//! only: the figure experiments record, the engine never does.
 //!
 //! The two modes share one invariant: **integer accounting and policy
 //! decision sequences are bit-identical**. Only floating-point
-//! *derived* observables (series samples, and therefore series-derived
-//! means plus the energy summation order) may differ; see
-//! `DESIGN.md` §9 for the proof obligations and the per-span energy
-//! error bound.
+//! *derived* observables (the two means and the energy summation order)
+//! may differ; see `DESIGN.md` §9 for the proof obligations and the
+//! per-span energy error bound.
 
 use core::fmt;
 
-/// How much of a simulation's per-tick state must be materialized.
+/// How a simulation accumulates its per-tick state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimFidelity {
-    /// Record everything: per-tick utilization / frequency /
-    /// work-fraction / power series, the scheduler log, power-change
-    /// events. This is the historical behavior and the default — every
-    /// golden output and SIM_VERSION ≤ 3 cache key was produced in
-    /// this mode.
+    /// Tick by tick: energy per segment and `f64` running sums of the
+    /// per-tick samples. This is the historical arithmetic and the
+    /// default — every golden output and SIM_VERSION ≤ 3 cache key was
+    /// produced in this mode. What such a run records is the kernel's
+    /// `record` switch, not the fidelity.
     #[default]
     Full,
-    /// Record only run summaries: integer mode accounting, switch and
-    /// deadline counters, closed-form means, compensated energy
-    /// totals. No `TimeSeries` is emitted, and a uniform span commits
-    /// its energy as one term instead of one per segment; the policy
-    /// still observes every tick. Specs carrying this mode key under
-    /// the engine's `SUMMARY_SIM_VERSION`.
+    /// Closed-form run summaries: integer mode accounting, switch and
+    /// deadline counters, integer-exact means, compensated energy
+    /// totals. Nothing is recorded, and a uniform span commits its
+    /// energy as one term instead of one per segment; the policy still
+    /// observes every tick. Specs carrying this mode key under the
+    /// engine's `SUMMARY_SIM_VERSION`.
     Summary,
 }
 
 impl SimFidelity {
-    /// True when per-tick series/log emission is skipped.
+    /// True for [`SimFidelity::Summary`].
     pub fn is_summary(self) -> bool {
         matches!(self, SimFidelity::Summary)
     }
