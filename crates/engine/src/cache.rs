@@ -1,51 +1,65 @@
 //! On-disk result cache, keyed by job content address.
 //!
-//! Layout: `<dir>/<first two hex chars of key>/<key>.entry`, sharded so
-//! a full-grid sweep (thousands of cells) does not put every entry in
-//! one directory. Each entry is a four-line text file:
+//! Layout: one append-only log per cache directory, `<dir>/v3.log`. The
+//! format version lives in the file name, so no single damaged line can
+//! poison the log. Each stored result is one line in the journal's CRC
+//! framing (see [`crate::journal`]):
 //!
 //! ```text
-//! itsy-dvs engine cache v2
-//! spec=<canonical spec string>
-//! result=<JobResult::encode() output>
-//! crc=<FNV-1a 64 over the spec and result lines, hex>
+//! <key-hex> <crc-hex> <canonical spec>\t<JobResult::encode() output>
 //! ```
 //!
-//! The canonical spec is stored alongside the result so a hash
-//! collision (or a stale entry after a `SIM_VERSION` bump that somehow
-//! kept the same key) is *detected* — the entry is ignored unless the
-//! stored spec matches the requesting spec byte-for-byte.
+//! where `crc` is FNV-1a 64 over `"<key-hex> <payload>"` and the payload
+//! is everything after the CRC field. A canonical spec never contains a
+//! tab.
 //!
-//! The checksum line is the crash-safety fence: an entry whose payload
-//! does not hash to its recorded `crc` — a flipped bit, a truncated
-//! tail, a stale v1 file — is **quarantined** (moved into
-//! `<dir>/quarantine/`) and reported as [`CacheProbe::Quarantined`], so
-//! the engine recomputes the cell instead of serving damaged bytes,
-//! and the broken file is kept out of every future lookup but
-//! preserved for forensics.
+//! **Index.** On first use a [`ResultCache`] reads the log once and maps
+//! each key to the offset and length of that key's *last* record, so a
+//! later record for a key supersedes every earlier one (last record
+//! wins). The index holds offsets, never record bytes. A line whose key
+//! does not parse (a torn tail, garbage) is skipped, and its cell is
+//! recomputed.
 //!
-//! Writes go through a temp file + rename so a run killed mid-write
-//! never leaves a half-entry that poisons a later `--resume`.
+//! **Probe.** A lookup is a hash lookup plus one read of the record. The
+//! record is validated before it is served: its CRC, a byte-for-byte
+//! match of the stored canonical spec against the requesting one, and
+//! the decode. A record for a different spec (a hash collision) is a
+//! plain miss. A record that fails its CRC or does not decode is
+//! **quarantined**: its bytes are copied to
+//! `<dir>/quarantine/<key>.entry` for forensics, the key leaves the
+//! index, and [`CacheProbe::Quarantined`] tells the engine to recompute
+//! the cell. The recomputed result's record then supersedes the damaged
+//! one.
+//!
+//! **Store.** One `write_all` of one record to the log, which each
+//! `ResultCache` opens once. A writer killed mid-append leaves a log
+//! that does not end in `\n`; the next store writes a `\n` before its
+//! record, so the torn record fails its CRC alone and takes no later
+//! record with it. Like the journal, the log is not fsynced, and it is
+//! never compacted: it grows by one record per stored result.
 
-use std::fs;
-use std::io;
+use std::collections::HashMap;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 use crate::fault::FaultInjector;
+use crate::frame;
 use crate::job::{JobResult, JobSpec};
-use crate::key::{fnv64, ContentKey};
+use crate::key::ContentKey;
 
-/// Format fence for entry files.
-const HEADER: &str = "itsy-dvs engine cache v2";
+/// The log's file name; the version is the format fence.
+const LOG: &str = "v3.log";
 
 /// What a cache lookup found.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CacheProbe {
-    /// A healthy entry for exactly this spec.
+    /// A healthy record for exactly this spec.
     Hit(JobResult),
-    /// No entry (including unreadable files and key collisions).
+    /// No record (including unreadable ones and key collisions).
     Miss,
-    /// An entry existed but failed validation; it has been moved to
+    /// A record existed but failed validation; it has been copied to
     /// the quarantine directory and the cell must be recomputed.
     Quarantined,
 }
@@ -61,15 +75,32 @@ impl CacheProbe {
 }
 
 /// A content-addressed store of job results.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
+    /// The open log and its index, read on first use.
+    log: Mutex<Option<Log>>,
+}
+
+/// An opened log: its handle and the index of its records.
+#[derive(Debug, Default)]
+struct Log {
+    /// `None` until the log exists.
+    file: Option<File>,
+    /// Each key's last record: its offset and its length without the
+    /// newline.
+    index: HashMap<ContentKey, (u64, usize)>,
+    /// Whether the log ends mid-line (a writer killed mid-append).
+    torn: bool,
 }
 
 impl ResultCache {
     /// Opens (without touching the filesystem) a cache rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        ResultCache { dir: dir.into() }
+        ResultCache {
+            dir: dir.into(),
+            log: Mutex::new(None),
+        }
     }
 
     /// The cache root.
@@ -77,24 +108,27 @@ impl ResultCache {
         &self.dir
     }
 
-    /// Path of the entry for a key.
-    fn entry_path(&self, key: ContentKey) -> PathBuf {
-        let hex = key.to_string();
-        self.dir.join(&hex[..2]).join(format!("{hex}.entry"))
+    /// The log every record is appended to.
+    pub fn log_path(&self) -> PathBuf {
+        self.dir.join(LOG)
     }
 
-    /// Where damaged entries go.
+    /// Where damaged records are copied.
     fn quarantine_dir(&self) -> PathBuf {
         self.dir.join("quarantine")
     }
 
-    /// The checksummed payload of an entry body.
-    fn payload(spec_line: &str, result_line: &str) -> String {
-        format!("{spec_line}\n{result_line}\n")
+    /// Runs `f` on the log, reading its index on first use. Every step
+    /// of an update leaves the log consistent (a record enters the index
+    /// only after its write, and `torn` errs towards a spare newline), so
+    /// a lock poisoned by a panicking caller is recovered.
+    fn with_log<T>(&self, f: impl FnOnce(&mut Log) -> T) -> T {
+        let mut log = self.log.lock().unwrap_or_else(PoisonError::into_inner);
+        f(log.get_or_insert_with(|| Log::open(&self.log_path())))
     }
 
     /// Looks up a spec. Returns `None` on missing, damaged, or
-    /// spec-mismatched entries — never an error; a broken entry is
+    /// spec-mismatched records — never an error; a broken record is
     /// quarantined and the cell recomputed.
     pub fn load(&self, spec: &JobSpec) -> Option<JobResult> {
         self.probe(spec, &FaultInjector::inert()).hit()
@@ -105,42 +139,60 @@ impl ResultCache {
     /// validation — the validation path cannot tell injected damage
     /// from real disk damage, which is the point.
     pub fn probe(&self, spec: &JobSpec, faults: &FaultInjector) -> CacheProbe {
-        let key = spec.key();
-        let path = self.entry_path(key);
-        let Ok(mut bytes) = fs::read(&path) else {
-            return CacheProbe::Miss;
-        };
-        if faults.cache_read_error(key) {
-            // The read "failed"; indistinguishable from a missing file.
-            return CacheProbe::Miss;
-        }
-        faults.damage_cache_bytes(key, &mut bytes);
+        let canonical = spec.canonical();
+        self.probe_keyed(ContentKey::of(&canonical), &canonical, faults)
+    }
 
-        let _span = obs::span::enter("cache_decode");
-        match Self::parse(&bytes, spec) {
-            Parsed::Hit(r) => CacheProbe::Hit(r),
-            Parsed::Collision => CacheProbe::Miss,
-            Parsed::Damaged => {
-                self.quarantine(key, &path);
-                CacheProbe::Quarantined
+    /// [`probe`](Self::probe) for a spec whose canonical string and key
+    /// the caller already holds.
+    pub(crate) fn probe_keyed(
+        &self,
+        key: ContentKey,
+        canonical: &str,
+        faults: &FaultInjector,
+    ) -> CacheProbe {
+        self.with_log(|log| {
+            let Some(&(at, len)) = log.index.get(&key) else {
+                return CacheProbe::Miss;
+            };
+            if faults.cache_read_error(key) {
+                // The read "failed"; indistinguishable from no record.
+                return CacheProbe::Miss;
             }
-        }
+            let Ok(mut bytes) = log.read_at(at, len) else {
+                return CacheProbe::Miss;
+            };
+            faults.damage_cache_bytes(key, &mut bytes);
+
+            let _span = obs::span::enter("cache_decode");
+            match parse(&bytes, canonical) {
+                Parsed::Hit(r) => CacheProbe::Hit(r),
+                Parsed::Collision => CacheProbe::Miss,
+                Parsed::Damaged => {
+                    log.index.remove(&key);
+                    self.quarantine(key, &bytes);
+                    CacheProbe::Quarantined
+                }
+            }
+        })
     }
 
-    /// Moves a damaged entry aside so it never resurfaces.
-    fn quarantine(&self, key: ContentKey, path: &Path) {
+    /// Keeps a damaged record's bytes for forensics. Best effort: the
+    /// key has already left the index, so the record is never served
+    /// again by this cache either way.
+    fn quarantine(&self, key: ContentKey, bytes: &[u8]) {
         let qdir = self.quarantine_dir();
-        let moved = fs::create_dir_all(&qdir)
-            .and_then(|()| fs::rename(path, qdir.join(format!("{key}.entry"))));
-        if moved.is_err() {
-            // Renaming failed (e.g. read-only fs): removing is the
-            // next best containment; a leftover damaged entry must
-            // not be served again.
-            let _ = fs::remove_file(path);
-        }
+        let _ = fs::create_dir_all(&qdir)
+            .and_then(|()| fs::write(qdir.join(format!("{key}.entry")), bytes));
     }
 
-    /// Stores a result, atomically.
+    /// Whether the log holds a record for `key` (damaged records count
+    /// until a probe quarantines them).
+    pub(crate) fn contains(&self, key: ContentKey) -> bool {
+        self.with_log(|log| log.index.contains_key(&key))
+    }
+
+    /// Appends a result's record to the log.
     pub fn store(&self, spec: &JobSpec, result: &JobResult) -> io::Result<()> {
         self.store_with(spec, result, &FaultInjector::inert())
     }
@@ -153,52 +205,41 @@ impl ResultCache {
         result: &JobResult,
         faults: &FaultInjector,
     ) -> io::Result<()> {
-        let key = spec.key();
+        let canonical = spec.canonical();
+        self.store_keyed(ContentKey::of(&canonical), &canonical, result, faults)
+    }
+
+    /// [`store_with`](Self::store_with) for a spec whose canonical
+    /// string and key the caller already holds.
+    pub(crate) fn store_keyed(
+        &self,
+        key: ContentKey,
+        canonical: &str,
+        result: &JobResult,
+        faults: &FaultInjector,
+    ) -> io::Result<()> {
         if let Some(e) = faults.cache_write_error(key) {
             return Err(e);
         }
-        let path = self.entry_path(key);
-        let parent = path.parent().expect("entry path has a shard dir");
-        fs::create_dir_all(parent)?;
-        let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-        let payload = {
+        let record = {
             let _span = obs::span::enter("result_encode");
-            Self::payload(
-                &format!("spec={}", spec.canonical()),
-                &format!("result={}", result.encode()),
-            )
+            frame::frame(key, &format!("{canonical}\t{}", result.encode()))
         };
-        fs::write(
-            &tmp,
-            format!(
-                "{HEADER}\n{payload}crc={:016x}\n",
-                fnv64(payload.as_bytes())
-            ),
-        )?;
-        fs::rename(&tmp, &path)
+        self.with_log(|log| log.append(&self.dir, key, record))
     }
 
-    /// Number of entries on disk (test/report helper; walks the tree).
+    /// Number of keys the log holds a record for (damaged records count
+    /// until a probe quarantines them).
     pub fn len(&self) -> usize {
-        let Ok(shards) = fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        shards
-            .flatten()
-            .filter(|d| d.file_name() != "quarantine")
-            .filter_map(|d| fs::read_dir(d.path()).ok())
-            .flatten()
-            .flatten()
-            .filter(|e| e.path().extension().is_some_and(|x| x == "entry"))
-            .count()
+        self.with_log(|log| log.index.len())
     }
 
-    /// Whether the cache holds no entries.
+    /// Whether the cache holds no records.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Number of quarantined (damaged, never-served) entries.
+    /// Number of quarantined (damaged, never-served) records.
     pub fn quarantined_len(&self) -> usize {
         fs::read_dir(self.quarantine_dir())
             .map(|d| d.flatten().count())
@@ -206,52 +247,110 @@ impl ResultCache {
     }
 }
 
-/// Outcome of validating raw entry bytes against a requesting spec.
+impl Log {
+    /// Opens and indexes the log at `path`; an absent or unreadable log
+    /// is an empty one.
+    fn open(path: &Path) -> Log {
+        let opened = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .open(path)
+            .or_else(|_| File::open(path));
+        let Ok(file) = opened else {
+            return Log::default();
+        };
+        let mut log = Log::default();
+        let (mut reader, mut line, mut at) = (BufReader::new(&file), Vec::new(), 0u64);
+        loop {
+            line.clear();
+            let n = match reader.read_until(b'\n', &mut line) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => n,
+            };
+            log.torn = !line.ends_with(b"\n");
+            let len = n - usize::from(!log.torn);
+            if let Some(key) = frame::key_of(&line[..len]) {
+                log.index.insert(key, (at, len));
+            }
+            at += n as u64;
+        }
+        log.file = Some(file);
+        log
+    }
+
+    /// The `len` bytes at `at`.
+    fn read_at(&self, at: u64, len: usize) -> io::Result<Vec<u8>> {
+        let mut file = self.file.as_ref().ok_or(io::ErrorKind::NotFound)?;
+        let mut bytes = vec![0; len];
+        file.seek(SeekFrom::Start(at))?;
+        file.read_exact(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    /// Appends one record with one `write_all`, creating the log on
+    /// first use, and files it in the index.
+    fn append(&mut self, dir: &Path, key: ContentKey, record: String) -> io::Result<()> {
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => {
+                fs::create_dir_all(dir)?;
+                self.file.insert(
+                    OpenOptions::new()
+                        .create(true)
+                        .read(true)
+                        .append(true)
+                        .open(dir.join(LOG))?,
+                )
+            }
+        };
+        let len = record.len();
+        let mut line = record;
+        line.push('\n');
+        if self.torn {
+            // End the torn record first, so it fails its CRC alone
+            // instead of swallowing this one.
+            line.insert(0, '\n');
+        }
+        // Until the write is known to have landed whole.
+        self.torn = true;
+        file.write_all(line.as_bytes())?;
+        self.torn = false;
+        // Appends land at the end, so the position after the write is
+        // the end of this record's line.
+        let end = file.stream_position()?;
+        self.index.insert(key, (end - 1 - len as u64, len));
+        Ok(())
+    }
+}
+
+/// Outcome of validating a record's bytes against a requesting spec.
 enum Parsed {
     Hit(JobResult),
-    /// Healthy entry for a *different* spec (key collision) — not our
-    /// result, but nothing is wrong with the file.
+    /// Healthy record for a *different* spec (key collision) — not our
+    /// result, but nothing is wrong with the record.
     Collision,
     Damaged,
 }
 
-impl ResultCache {
-    fn parse(bytes: &[u8], spec: &JobSpec) -> Parsed {
-        // Damaged entries may not be UTF-8 (a flipped bit can land in
-        // a continuation byte); lossy decoding keeps them parseable
-        // far enough to fail the checksum.
-        let text = String::from_utf8_lossy(bytes);
-        let mut lines = text.lines();
-        let (Some(header), Some(spec_line), Some(result_line), Some(crc_line)) =
-            (lines.next(), lines.next(), lines.next(), lines.next())
-        else {
-            return Parsed::Damaged;
-        };
-        if header != HEADER {
-            return Parsed::Damaged;
-        }
-        let crc_ok = crc_line
-            .strip_prefix("crc=")
-            .and_then(|c| u64::from_str_radix(c, 16).ok())
-            .is_some_and(|crc| crc == fnv64(Self::payload(spec_line, result_line).as_bytes()));
-        if !crc_ok {
-            return Parsed::Damaged;
-        }
-        let (Some(stored_spec), Some(encoded)) = (
-            spec_line.strip_prefix("spec="),
-            result_line.strip_prefix("result="),
-        ) else {
-            return Parsed::Damaged;
-        };
-        if stored_spec != spec.canonical() {
-            return Parsed::Collision;
-        }
-        match JobResult::decode(encoded) {
-            Some(r) => Parsed::Hit(r),
-            // Checksum passed but the payload does not decode: a
-            // writer bug or format change — quarantine, don't serve.
-            None => Parsed::Damaged,
-        }
+fn parse(bytes: &[u8], canonical: &str) -> Parsed {
+    // Damaged records may not be UTF-8 (a flipped bit can land in a
+    // continuation byte); lossy decoding keeps them parseable far
+    // enough to fail the checksum.
+    let text = String::from_utf8_lossy(bytes);
+    let Some((_, payload)) = frame::unframe(&text) else {
+        return Parsed::Damaged;
+    };
+    let Some((stored_spec, encoded)) = payload.split_once('\t') else {
+        return Parsed::Damaged;
+    };
+    if stored_spec != canonical {
+        return Parsed::Collision;
+    }
+    match JobResult::decode(encoded) {
+        Some(r) => Parsed::Hit(r),
+        // Checksum passed but the payload does not decode: a writer bug
+        // or format change — quarantine, don't serve.
+        None => Parsed::Damaged,
     }
 }
 
@@ -297,6 +396,17 @@ mod tests {
         }
     }
 
+    /// Rewrites every line of `cache`'s log through `damage`, which gets
+    /// the line's key and text and returns its replacement.
+    fn rewrite_log(cache: &ResultCache, damage: impl Fn(ContentKey, &str) -> String) {
+        let text = fs::read_to_string(cache.log_path()).expect("read log");
+        let lines: Vec<String> = text
+            .lines()
+            .map(|line| damage(frame::key_of(line.as_bytes()).expect("key"), line))
+            .collect();
+        fs::write(cache.log_path(), lines.join("\n") + "\n").expect("rewrite log");
+    }
+
     #[test]
     fn store_then_load_roundtrips() {
         let cache = temp_cache("roundtrip");
@@ -310,22 +420,39 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_cache_serves_each_keys_last_record_from_one_file() {
+        let cache = temp_cache("reopen");
+        cache.store(&spec(1), &result(0.1)).expect("store");
+        cache.store(&spec(2), &result(0.2)).expect("store");
+        cache.store(&spec(1), &result(0.3)).expect("supersede");
+        assert_eq!(cache.load(&spec(1)), Some(result(0.3)));
+
+        let reopened = ResultCache::new(cache.dir());
+        assert_eq!(reopened.load(&spec(1)), Some(result(0.3)), "last wins");
+        assert_eq!(reopened.load(&spec(2)), Some(result(0.2)));
+        assert_eq!(reopened.len(), 2);
+        let files: Vec<_> = fs::read_dir(cache.dir()).expect("dir").flatten().collect();
+        assert_eq!(files.len(), 1, "one log, no per-entry files");
+        assert_eq!(files[0].path(), cache.log_path());
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
     fn corrupt_entries_are_quarantined_not_served() {
         let cache = temp_cache("corrupt");
         cache.store(&spec(1), &result(0.1)).expect("store");
-        let path = cache.entry_path(spec(1).key());
 
         // Flip one bit of the stored result payload.
-        let mut bytes = fs::read(&path).expect("read entry");
-        let pos = bytes.iter().position(|&b| b == b'r').expect("has result");
+        let mut bytes = fs::read(cache.log_path()).expect("read log");
+        let pos = bytes.iter().position(|&b| b == b'\t').expect("has result");
         bytes[pos + 10] ^= 0x04;
-        fs::write(&path, &bytes).expect("corrupt it");
+        fs::write(cache.log_path(), &bytes).expect("corrupt it");
 
         assert_eq!(
             cache.probe(&spec(1), &FaultInjector::inert()),
             CacheProbe::Quarantined
         );
-        assert_eq!(cache.quarantined_len(), 1, "damaged entry moved aside");
+        assert_eq!(cache.quarantined_len(), 1, "damaged record kept aside");
         assert_eq!(cache.len(), 0, "and no longer counted live");
         assert_eq!(cache.load(&spec(1)), None, "second probe is a plain miss");
 
@@ -338,12 +465,19 @@ mod tests {
     #[test]
     fn truncated_and_garbage_entries_are_quarantined() {
         let cache = temp_cache("truncate");
-        for (i, damage) in ["itsy", "not an entry at all", ""].iter().enumerate() {
-            let s = spec(i as u64);
-            cache.store(&s, &result(0.1)).expect("store");
-            fs::write(cache.entry_path(s.key()), damage).expect("damage");
+        for i in 0..3 {
+            cache.store(&spec(i), &result(0.1)).expect("store");
+        }
+        // A record cut short, a key followed by garbage, a bare key.
+        rewrite_log(&cache, |key, line| match key {
+            k if k == spec(0).key() => line[..line.len() / 2].to_string(),
+            k if k == spec(1).key() => format!("{k} not an entry at all"),
+            k => k.to_string(),
+        });
+        let cache = ResultCache::new(cache.dir());
+        for i in 0..3 {
             assert_eq!(
-                cache.probe(&s, &FaultInjector::inert()),
+                cache.probe(&spec(i), &FaultInjector::inert()),
                 CacheProbe::Quarantined,
                 "damage case {i}"
             );
@@ -357,17 +491,15 @@ mod tests {
         let cache = temp_cache("v1");
         let s = spec(1);
         cache.store(&s, &result(0.1)).expect("store");
-        let path = cache.entry_path(s.key());
-        // Re-write the entry in the old, checksum-less v1 format.
-        fs::write(
-            &path,
-            format!(
-                "itsy-dvs engine cache v1\nspec={}\nresult={}\n",
-                s.canonical(),
-                result(0.1).encode()
-            ),
-        )
-        .expect("downgrade");
+        // Re-write the record with the old v1 entry's text as its
+        // payload, framed with a valid CRC: only the layout is foreign.
+        let v1 = format!(
+            "itsy-dvs engine cache v1 spec={} result={}",
+            s.canonical(),
+            result(0.1).encode()
+        );
+        rewrite_log(&cache, |key, _| frame::frame(key, &v1));
+        let cache = ResultCache::new(cache.dir());
         assert_eq!(cache.load(&s), None, "v1 entries are not trusted");
         assert_eq!(cache.quarantined_len(), 1);
         let _ = fs::remove_dir_all(cache.dir());
@@ -375,23 +507,16 @@ mod tests {
 
     #[test]
     fn spec_mismatch_is_rejected_but_not_quarantined() {
-        // Simulate a key collision: a *healthy* entry exists under the
-        // right key but records a different canonical spec. The entry
+        // Simulate a key collision: a *healthy* record exists under the
+        // right key but records a different canonical spec. The record
         // must not be served, and — being undamaged — not quarantined.
         let cache = temp_cache("mismatch");
         let s = spec(1);
         cache.store(&s, &result(0.1)).expect("store");
-        let text = fs::read_to_string(cache.entry_path(s.key())).expect("read");
-        let forged_payload = text.lines().nth(1).unwrap().replace("seed=1", "seed=999");
-        let forged_payload = format!("{forged_payload}\n{}\n", text.lines().nth(2).unwrap());
-        fs::write(
-            cache.entry_path(s.key()),
-            format!(
-                "{HEADER}\n{forged_payload}crc={:016x}\n",
-                fnv64(forged_payload.as_bytes())
-            ),
-        )
-        .expect("forge");
+        let forged_spec = s.canonical().replace("seed=1", "seed=999");
+        let payload = format!("{forged_spec}\t{}", result(0.1).encode());
+        rewrite_log(&cache, |key, _| frame::frame(key, &payload));
+        let cache = ResultCache::new(cache.dir());
         assert_eq!(cache.probe(&s, &FaultInjector::inert()), CacheProbe::Miss);
         assert_eq!(cache.quarantined_len(), 0);
         let _ = fs::remove_dir_all(cache.dir());
@@ -409,10 +534,10 @@ mod tests {
         match cache.probe(&s, &faults) {
             // A flipped bit is overwhelmingly caught by the checksum;
             // the only other legal outcome is a collision-style miss
-            // (flip landed in the spec line making it mismatch while
-            // the crc... — impossible: crc covers the spec line too).
+            // (flip landed in the spec making it mismatch while the
+            // crc... — impossible: the crc covers the spec too).
             CacheProbe::Quarantined => {}
-            other => panic!("damaged entry must be quarantined, got {other:?}"),
+            other => panic!("damaged record must be quarantined, got {other:?}"),
         }
         assert_eq!(faults.stats().corruptions, 1);
         let _ = fs::remove_dir_all(cache.dir());

@@ -300,23 +300,32 @@ impl Engine {
             total: specs.len() as u64,
             ..Tally::default()
         };
+        // Each cell's key, derived once from its canonical string, which
+        // the journal lookup, the probe and a backfill share. A cell
+        // left to simulate formats its string again when it is stored:
+        // holding every pending cell's string for the whole batch would
+        // cost more memory than the formatting costs time.
+        let mut keys: Vec<ContentKey> = Vec::with_capacity(specs.len());
         for spec in specs {
-            let key = {
+            let (canonical, key) = {
                 let _s = obs::span::enter("content_key");
-                spec.key()
+                let canonical = spec.canonical();
+                let key = ContentKey::of(&canonical);
+                (canonical, key)
             };
             let hit = journaled.get(&key).copied().inspect(|r| {
                 tally.journal_hits += 1;
                 // Backfill the cache so the next batch doesn't depend
-                // on the journal surviving.
-                if let Some(cache) = &cache {
-                    let _ = cache.store_with(spec, r, &faults);
+                // on the journal surviving, unless it already holds the
+                // cell: every `--resume` would append a duplicate.
+                if let Some(cache) = cache.as_ref().filter(|c| !c.contains(key)) {
+                    let _ = cache.store_keyed(key, &canonical, r, &faults);
                 }
             });
             let hit = hit.or_else(|| match &cache {
                 Some(c) => {
                     let _s = obs::span::enter("cache_probe");
-                    match c.probe(spec, &faults) {
+                    match c.probe_keyed(key, &canonical, &faults) {
                         CacheProbe::Hit(r) => {
                             tally.cache_hits += 1;
                             obs::debug!("engine: cache_hit key={key}");
@@ -338,6 +347,7 @@ impl Engine {
             if let Some(r) = &hit {
                 tally.record(spec, r);
             }
+            keys.push(key);
             slots.push(hit.map(Ok));
         }
 
@@ -345,12 +355,8 @@ impl Engine {
         // a scrape never shows more jobs executed than cells.
         live::publish(None, &tally);
 
-        let pending: Vec<(usize, JobSpec)> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_none())
-            .map(|(i, _)| (i, specs[i].clone()))
-            .collect();
+        // Cloned as workers pull them, so the specs are not held twice.
+        let pending: Vec<usize> = (0..specs.len()).filter(|&i| slots[i].is_none()).collect();
 
         let mut journal = match Journal::open(&state_dir, batch) {
             Ok(j) => Some(j),
@@ -370,7 +376,7 @@ impl Engine {
             0,
             false,
             &faults,
-            pending.into_iter(),
+            pending.into_iter().map(|i| (i, specs[i].clone())),
             |_: &mut (), i, _, result, _| Some((i, result)),
             |msg| {
                 // A quiet interval (`None`) has nothing to write; every
@@ -378,16 +384,17 @@ impl Engine {
                 let Some(msg) = msg else { return };
                 match msg {
                     Ok((i, result)) => {
-                        let spec = &specs[i];
+                        let key = keys[i];
                         if let Some(cache) = &cache {
                             let _s = obs::span::enter("cache_write");
-                            if let Err(e) = cache.store_with(spec, &result, &faults) {
-                                obs::warn!("engine: cache write failed for {}: {e}", spec.key());
+                            let canonical = specs[i].canonical();
+                            if let Err(e) = cache.store_keyed(key, &canonical, &result, &faults) {
+                                obs::warn!("engine: cache write failed for {key}: {e}");
                             }
                         }
                         if let Some(j) = &mut journal {
                             let _s = obs::span::enter("journal_append");
-                            if let Err(e) = j.record_with(spec.key(), &result, &faults) {
+                            if let Err(e) = j.record_with(key, &result, &faults) {
                                 obs::warn!("engine: journal write failed: {e}");
                             }
                         }
@@ -422,7 +429,7 @@ impl Engine {
                 slot.unwrap_or_else(|| {
                     Err(JobFailure {
                         index: i,
-                        key: specs[i].key(),
+                        key: keys[i],
                         label: specs[i].label(),
                         attempts: 0,
                         message: "worker thread died before completing this job".to_string(),
@@ -603,6 +610,44 @@ mod tests {
         assert_eq!(resumed.results, reference.results);
         // Completion cleared the journal.
         assert!(Journal::replay(&state_dir, "t").is_empty());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn resume_backfills_only_the_cells_the_cache_lacks() {
+        let root = temp_root("backfill");
+        let specs = grid();
+        let reference = Engine::new(EngineConfig::hermetic()).run_batch("t", &specs);
+        let journal_every_cell = || {
+            let mut j = Journal::open(&root.join("state"), "t").expect("open");
+            for (spec, r) in specs.iter().zip(&reference.results) {
+                j.record(spec.key(), r.as_ref().expect("reference ok"))
+                    .expect("record");
+            }
+        };
+        let log = ResultCache::new(root.join("cache")).log_path();
+        let records = || std::fs::read_to_string(&log).map_or(0, |t| t.lines().count());
+        let resume = || {
+            Engine::new(EngineConfig {
+                use_cache: true,
+                resume: true,
+                state_root: Some(root.clone()),
+                ..EngineConfig::hermetic()
+            })
+            .run_batch("t", &specs)
+        };
+
+        // An empty cache takes every journaled cell ...
+        journal_every_cell();
+        let first = resume();
+        assert_eq!(first.stats.journal_hits, specs.len());
+        assert_eq!(records(), specs.len());
+        // ... and a second resume appends no duplicates.
+        journal_every_cell();
+        let second = resume();
+        assert_eq!(second.stats.journal_hits, specs.len());
+        assert_eq!(records(), specs.len(), "resume duplicated cached cells");
+        assert_eq!(second.results, reference.results);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -12,10 +12,10 @@
 //!
 //! | plan key    | site                | what fires                          |
 //! |-------------|---------------------|-------------------------------------|
-//! | `read_err`  | cache entry read    | the read is dropped (acts like EIO) |
-//! | `corrupt`   | cache entry read    | one bit of the entry is flipped     |
-//! | `truncate`  | cache entry read    | the entry is cut short              |
-//! | `write_err` | cache entry write   | the write fails with an I/O error   |
+//! | `read_err`  | cache record read   | the read is dropped (acts like EIO) |
+//! | `corrupt`   | cache record read   | one bit of the record is flipped    |
+//! | `truncate`  | cache record read   | the record is cut short             |
+//! | `write_err` | cache record write  | the write fails with an I/O error   |
 //! | `torn`      | journal append      | only a prefix of the record lands   |
 //! | `panic`     | job execution       | the worker panics mid-job           |
 //! | `stall`     | job execution       | the worker sleeps `stall_ms` mid-job|
@@ -43,13 +43,13 @@ use crate::key::{fnv64, ContentKey};
 pub struct FaultPlan {
     /// Seed mixed into every injection decision.
     pub seed: u64,
-    /// P(cache entry read is dropped as if the disk returned EIO).
+    /// P(cache record read is dropped as if the disk returned EIO).
     pub read_err: f64,
-    /// P(one bit of a cache entry flips on read).
+    /// P(one bit of a cache record flips on read).
     pub corrupt: f64,
-    /// P(a cache entry is truncated on read).
+    /// P(a cache record is truncated on read).
     pub truncate: f64,
-    /// P(a cache entry write fails).
+    /// P(a cache record write fails).
     pub write_err: f64,
     /// P(a journal append lands only partially).
     pub torn: f64,
@@ -176,9 +176,9 @@ impl fmt::Display for FaultPlan {
 pub struct FaultStats {
     /// Cache reads dropped as I/O errors.
     pub read_errors: u64,
-    /// Cache entries bit-flipped on read.
+    /// Cache records bit-flipped on read.
     pub corruptions: u64,
-    /// Cache entries truncated on read.
+    /// Cache records truncated on read.
     pub truncations: u64,
     /// Cache writes failed.
     pub write_errors: u64,
@@ -311,7 +311,7 @@ impl FaultInjector {
         fired
     }
 
-    /// Cache-read site: maybe flip a bit and/or truncate the entry
+    /// Cache-read site: maybe flip a bit and/or truncate the record
     /// bytes in place. Returns true if the bytes were damaged.
     pub fn damage_cache_bytes(&self, key: ContentKey, bytes: &mut Vec<u8>) -> bool {
         if self.inert || bytes.is_empty() {

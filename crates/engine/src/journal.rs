@@ -9,7 +9,8 @@
 //! <key-hex> <crc-hex> <JobResult::encode() output>
 //! ```
 //!
-//! where `crc` is FNV-1a 64 over `"<key-hex> <payload>"`. Lines are
+//! where `crc` is FNV-1a 64 over `"<key-hex> <payload>"`, the framing
+//! the cache log's records use too ([`crate::cache`]). Lines are
 //! appended as jobs finish (single writer: the collector thread), so a
 //! killed run leaves a valid prefix; the CRC is what makes that safe
 //! to rely on. A torn final write — or a record merged with a torn
@@ -28,8 +29,9 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::fault::FaultInjector;
+use crate::frame;
 use crate::job::JobResult;
-use crate::key::{fnv64, ContentKey};
+use crate::key::ContentKey;
 
 /// Journal of completed jobs for one named batch.
 #[derive(Debug)]
@@ -67,27 +69,6 @@ impl Journal {
         })
     }
 
-    /// One record's on-disk line (without the trailing newline).
-    fn frame(key: ContentKey, encoded: &str) -> String {
-        let body = format!("{key} {encoded}");
-        let crc = fnv64(body.as_bytes());
-        format!("{key} {crc:016x} {encoded}")
-    }
-
-    /// Parses and validates one line; `None` for anything damaged.
-    fn parse_line(line: &str) -> Option<(ContentKey, JobResult)> {
-        let mut parts = line.splitn(3, ' ');
-        let key_hex = parts.next()?;
-        let crc_hex = parts.next()?;
-        let payload = parts.next()?;
-        let key = ContentKey::parse(key_hex)?;
-        let crc = u64::from_str_radix(crc_hex, 16).ok()?;
-        if crc != fnv64(format!("{key_hex} {payload}").as_bytes()) {
-            return None;
-        }
-        Some((key, JobResult::decode(payload)?))
-    }
-
     /// Replays an existing journal into a key → result map. Damaged
     /// lines — a torn tail from a killed run, a record merged with a
     /// torn predecessor, any CRC mismatch — are skipped; everything
@@ -99,7 +80,10 @@ impl Journal {
         };
         String::from_utf8_lossy(&bytes)
             .lines()
-            .filter_map(Self::parse_line)
+            .filter_map(|line| {
+                let (key, payload) = frame::unframe(line)?;
+                Some((key, JobResult::decode(payload)?))
+            })
             .collect()
     }
 
@@ -119,7 +103,7 @@ impl Journal {
         faults: &FaultInjector,
     ) -> io::Result<()> {
         let w = self.writer.as_mut().expect("journal open");
-        let line = format!("{}\n", Self::frame(key, &result.encode()));
+        let line = format!("{}\n", frame::frame(key, &result.encode()));
         match faults.journal_tear(key, line.len()) {
             Some(keep) => w.write_all(&line.as_bytes()[..keep])?,
             None => w.write_all(line.as_bytes())?,

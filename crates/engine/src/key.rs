@@ -4,7 +4,7 @@
 //! encoding. FNV is used instead of a cryptographic hash because the
 //! threat model is accidental collision between a few thousand sweep
 //! cells, not adversarial input — and the canonical string itself is
-//! stored next to each cache entry, so even a collision is detected
+//! stored in each cache record, so even a collision is detected
 //! rather than silently served.
 //!
 //! The hash is defined over bytes of a canonical string (not Rust
@@ -19,9 +19,9 @@ const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 const FNV64_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV64_PRIME: u64 = 0x00000100000001b3;
 
-/// FNV-1a 64 over raw bytes: the payload checksum used by cache
-/// entries and journal records. Like [`ContentKey`], it is defined
-/// over bytes so checksums are stable across platforms and runs.
+/// FNV-1a 64 over raw bytes: the payload checksum of cache and
+/// journal records. Like [`ContentKey`], it is defined over bytes so
+/// checksums are stable across platforms and runs.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = FNV64_OFFSET;
     for &b in bytes {
@@ -86,7 +86,7 @@ mod tests {
     fn fnv64_known_vectors() {
         // FNV-1a 64 of the empty input is the offset basis; a pinned
         // non-trivial vector guards against accidental edits — drift
-        // here silently invalidates every checksummed cache entry.
+        // here silently invalidates every checksummed cache record.
         assert_eq!(fnv64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
         assert_ne!(fnv64(b"ab"), fnv64(b"ba"));

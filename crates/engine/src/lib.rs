@@ -9,8 +9,9 @@
 //! - [`Engine`] executes batches of specs on a worker pool (`--jobs`),
 //!   with results guaranteed bit-identical for 1 or N workers;
 //! - completed cells persist in a content-addressed cache under
-//!   `results/cache/`, so re-running a sweep only simulates what
-//!   changed;
+//!   `results/cache/`: one append-only log (`v3.log`) of CRC-framed
+//!   records, indexed in memory on first use, where a key's last record
+//!   wins. Re-running a sweep only simulates what changed;
 //! - a per-batch journal makes interrupted runs resumable (`--resume`)
 //!   even when the cache is off;
 //! - every run counts what it did once, into the tallies that both its
@@ -21,9 +22,11 @@
 //! skipping, or progress reporting.
 //!
 //! The engine is also hardened against the failures this state
-//! implies: cache entries are checksummed (damaged ones are
-//! quarantined and recomputed, never served), journal records are
-//! CRC-framed (a torn tail is skipped, never misparsed), and a
+//! implies: cache records and journal records share one CRC framing.
+//! A damaged cache record is copied to `cache/quarantine/` and
+//! recomputed, never served; a torn journal or cache-log tail is
+//! skipped, never misparsed, and the next cache append ends it with a
+//! newline first so no later record is lost with it. A
 //! panicking job is retried and then reported as a [`JobFailure`]
 //! instead of killing the batch. A deterministic fault-injection
 //! layer ([`fault`]) exercises all of it on demand — see
@@ -32,6 +35,7 @@
 pub mod cache;
 mod engine;
 pub mod fault;
+mod frame;
 pub mod job;
 pub mod journal;
 pub mod key;

@@ -74,7 +74,7 @@ pub(crate) struct Tally {
     pub(crate) cache_hits: u64,
     /// Cells served from an interrupted run's journal.
     pub(crate) journal_hits: u64,
-    /// Damaged cache entries quarantined (and recomputed).
+    /// Damaged cache records quarantined (and recomputed).
     pub(crate) quarantined: u64,
     /// Cells (devices) that produced no result.
     pub(crate) failed: u64,

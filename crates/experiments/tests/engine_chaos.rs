@@ -2,7 +2,7 @@
 //!
 //! The engine's crash-safety contract, stated as an invariant: under
 //! *any* fault plan the injector can produce — cache read errors,
-//! bit-flipped and truncated entries, cache write errors, torn journal
+//! bit-flipped and truncated records, cache write errors, torn journal
 //! writes, up to `max_panics` worker panics per job — a sweep
 //! completes and its final CSV is **byte-identical** to a fault-free
 //! run. Faults may cost recomputation; they may never cost
@@ -10,7 +10,7 @@
 //! so a regression in the injector can't make the suite vacuously
 //! green.
 
-use engine::{Engine, EngineConfig, FaultPlan};
+use engine::{Engine, EngineConfig, FaultPlan, ResultCache};
 use experiments::sweep::{self, SweepConfig};
 use workloads::Benchmark;
 
@@ -68,7 +68,7 @@ fn chaos_plans_never_change_the_csv() {
             "plan {plan_seed}: cold chaotic run diverged from fault-free CSV"
         );
         // Warm: read errors, corruption and truncation now hit the
-        // entries the cold run managed to store.
+        // records the cold run managed to store.
         let (warm, warm_stats, _) = sweep::run_with(&Engine::new(config), &grid(), 1);
         assert_eq!(warm_stats.failed, 0);
         assert_eq!(
@@ -127,32 +127,31 @@ fn corrupted_cache_entries_are_quarantined_and_recomputed() {
     let (cold, cold_stats, _) = sweep::run_with(&Engine::new(config.clone()), &grid(), 1);
     assert_eq!(cold_stats.executed, cold_stats.total);
 
-    // Flip one byte in every stored entry — real on-disk damage, not
-    // injected: the shape of a failing disk or an interrupted write.
-    let cache_dir = root.join("cache");
+    // Flip one byte in the payload of every stored record — real
+    // on-disk damage, not injected: the shape of a failing disk or an
+    // interrupted write.
+    let log = ResultCache::new(root.join("cache")).log_path();
+    let mut bytes = std::fs::read(&log).expect("read cache log");
     let mut damaged = 0usize;
-    for shard in std::fs::read_dir(&cache_dir).expect("cache dir") {
-        let shard = shard.expect("shard").path();
-        if !shard.is_dir() {
-            continue;
-        }
-        for entry in std::fs::read_dir(&shard).expect("shard dir") {
-            let path = entry.expect("entry").path();
-            let mut bytes = std::fs::read(&path).expect("read entry");
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x10;
-            std::fs::write(&path, &bytes).expect("write damage");
-            damaged += 1;
-        }
+    for record in bytes.split_mut(|&b| b == b'\n').filter(|r| !r.is_empty()) {
+        // `<key> <crc> <payload>`: the payload follows the second space.
+        let (second_space, _) = (record.iter().enumerate())
+            .filter(|&(_, &b)| b == b' ')
+            .nth(1)
+            .expect("framed record");
+        let mid = second_space + 1 + (record.len() - second_space - 1) / 2;
+        record[mid] ^= 0x10;
+        damaged += 1;
     }
-    assert_eq!(damaged, cold_stats.total, "one entry per cell");
+    std::fs::write(&log, &bytes).expect("write damage");
+    assert_eq!(damaged, cold_stats.total, "one record per cell");
 
-    // Warm run: every probe sees a damaged entry → quarantine and
+    // Warm run: every probe sees a damaged record → quarantine and
     // recompute, never serve bad bytes, never crash.
     let (warm, warm_stats, _) = sweep::run_with(&Engine::new(config.clone()), &grid(), 1);
     assert_eq!(
         warm_stats.quarantined, damaged,
-        "every damaged entry caught"
+        "every damaged record caught"
     );
     assert_eq!(warm_stats.cache_hits, 0);
     assert_eq!(warm_stats.executed, warm_stats.total, "all recomputed");
