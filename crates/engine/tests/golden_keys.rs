@@ -23,7 +23,7 @@
 //! UPDATE_GOLDEN_RESULTS=1 cargo test -p engine --test golden_keys
 //! ```
 
-use engine::{JobSpec, WorkloadSpec};
+use engine::{JobResult, JobSpec, WorkloadSpec};
 use policies::{Hysteresis, PolicyDesc, PredictorDesc, SpeedChange, VoltageRule};
 use sim_core::{SimDuration, SimFidelity};
 use workloads::Benchmark;
@@ -183,6 +183,28 @@ fn results_match_committed_fixture() {
         "results moved: bump SIM_VERSION / SUMMARY_SIM_VERSION \
          (crates/engine/src/job.rs), or fix the regression",
     );
+}
+
+#[test]
+fn golden_results_decode_and_reencode_to_themselves() {
+    // Every journal and cache log holds results in this encoding, so a
+    // codec change that still round-trips its own output must also read
+    // back every committed line unchanged.
+    let path = format!(
+        "{}/tests/fixtures/golden_results.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let text = std::fs::read_to_string(path).expect("read golden_results.txt");
+    for line in text.lines() {
+        let encoded = line
+            .splitn(3, ' ')
+            .nth(2)
+            .expect("<fidelity> <index> <result>");
+        let decoded = JobResult::decode(encoded)
+            .unwrap_or_else(|| panic!("golden result does not decode: {line}"));
+        assert_eq!(decoded.encode(), encoded, "re-encoding moved: {line}");
+    }
+    assert_eq!(text.lines().count(), 2 * golden_grid().len());
 }
 
 #[test]

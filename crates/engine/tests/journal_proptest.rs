@@ -97,9 +97,9 @@ proptest! {
     }
 
     /// Crash safety: truncating the journal at *any* byte position
-    /// must still replay cleanly — every complete line before the cut
-    /// survives, nothing after it leaks through as a bogus record, and
-    /// parsing never panics.
+    /// must still replay cleanly — every record whose bytes all lie
+    /// before the cut survives, nothing after it leaks through as a
+    /// bogus record, and parsing never panics.
     #[test]
     fn any_truncation_replays_a_valid_prefix(
         seeds in proptest::collection::vec(any::<u64>(), 1..12),
@@ -114,26 +114,16 @@ proptest! {
 
         let replayed = Journal::replay(&dir, "prop");
 
-        // The records whose full line (newline included) fits in the
-        // kept prefix — the ones a real crash would have made durable.
-        let mut durable: Vec<&(ContentKey, JobResult)> = Vec::new();
-        let mut offset = 0usize;
-        for rec in &records {
-            // Reconstruct each line's length from the file itself:
-            // lines are newline-terminated and written in order.
-            let line_end = bytes[offset..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .map(|p| offset + p + 1)
-                .expect("every record is a full line");
-            if line_end <= cut {
-                durable.push(rec);
-            }
-            offset = line_end;
-        }
-        let expected: HashMap<ContentKey, String> = durable
+        // Records are lines in written order; one survives the cut when
+        // its last byte before the newline does. A record cut just
+        // before its newline is whole, so its CRC passes and it replays.
+        let ends: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'\n').collect();
+        prop_assert_eq!(ends.len(), records.len());
+        let expected: HashMap<ContentKey, String> = records
             .iter()
-            .map(|(k, r)| (*k, r.encode()))
+            .zip(&ends)
+            .filter(|(_, &end)| end <= cut)
+            .map(|((k, r), _)| (*k, r.encode()))
             .collect();
 
         prop_assert_eq!(
