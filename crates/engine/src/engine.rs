@@ -301,17 +301,19 @@ impl Engine {
             ..Tally::default()
         };
         // Each cell's key, derived once from its canonical string, which
-        // the journal lookup, the probe and a backfill share. A cell
-        // left to simulate formats its string again when it is stored:
-        // holding every pending cell's string for the whole batch would
-        // cost more memory than the formatting costs time.
+        // the journal lookup, the probe and a backfill share. The string
+        // is written into one buffer that every cell reuses. A cell left
+        // to simulate writes its string again when it is stored: holding
+        // every pending cell's string for the whole batch would cost
+        // more memory than the formatting costs time.
         let mut keys: Vec<ContentKey> = Vec::with_capacity(specs.len());
+        let mut canonical = String::new();
         for spec in specs {
-            let (canonical, key) = {
+            let key = {
                 let _s = obs::span::enter("content_key");
-                let canonical = spec.canonical();
-                let key = ContentKey::of(&canonical);
-                (canonical, key)
+                canonical.clear();
+                let _ = spec.write_canonical(&mut canonical);
+                ContentKey::of(&canonical)
             };
             let hit = journaled.get(&key).copied().inspect(|r| {
                 tally.journal_hits += 1;
@@ -387,7 +389,8 @@ impl Engine {
                         let key = keys[i];
                         if let Some(cache) = &cache {
                             let _s = obs::span::enter("cache_write");
-                            let canonical = specs[i].canonical();
+                            canonical.clear();
+                            let _ = specs[i].write_canonical(&mut canonical);
                             if let Err(e) = cache.store_keyed(key, &canonical, &result, &faults) {
                                 obs::warn!("engine: cache write failed for {key}: {e}");
                             }

@@ -7,6 +7,8 @@
 //! produce bit-identical [`JobResult`]s — the invariant behind both the
 //! on-disk cache and the 1-vs-N-worker determinism guarantee.
 
+use core::fmt::{self, Write};
+
 use itsy_hw::{
     battery::BatteryParams, Battery, ClockTable, DeviceSet, PowerModel, PowerParams, StepIndex,
 };
@@ -81,11 +83,20 @@ impl WorkloadSpec {
 
     /// Stable canonical tag for content addressing.
     pub fn canonical(&self) -> String {
+        let mut out = String::new();
+        let _ = self.write_canonical(&mut out);
+        out
+    }
+
+    /// Writes [`canonical`](Self::canonical)'s tag into `out`.
+    fn write_canonical(&self, out: &mut impl Write) -> fmt::Result {
         match self {
-            WorkloadSpec::Benchmark(b) => format!("bench:{}", b.name()),
-            WorkloadSpec::WebBrowse { poller } => format!("web_browse:poller={poller}"),
-            WorkloadSpec::MpegElastic => "mpeg_elastic".to_string(),
-            WorkloadSpec::SquareWave { busy, idle } => format!("square:busy={busy},idle={idle}"),
+            WorkloadSpec::Benchmark(b) => write!(out, "bench:{}", b.name()),
+            WorkloadSpec::WebBrowse { poller } => write!(out, "web_browse:poller={poller}"),
+            WorkloadSpec::MpegElastic => out.write_str("mpeg_elastic"),
+            WorkloadSpec::SquareWave { busy, idle } => {
+                write!(out, "square:busy={busy},idle={idle}")
+            }
         }
     }
 
@@ -134,7 +145,15 @@ impl HwSpec {
 
     /// Stable canonical tag for content addressing.
     pub fn canonical(&self) -> String {
-        format!(
+        let mut out = String::new();
+        let _ = self.write_canonical(&mut out);
+        out
+    }
+
+    /// Writes [`canonical`](Self::canonical)'s tag into `out`.
+    fn write_canonical(&self, out: &mut impl Write) -> fmt::Result {
+        write!(
+            out,
             "{},{},{},{}",
             self.core_ppm, self.base_ppm, self.battery_mwh, self.charge_pct
         )
@@ -237,25 +256,38 @@ impl JobSpec {
     /// encode under [`SUMMARY_SIM_VERSION`] with an explicit `fid`
     /// field, so the two fidelities can never collide in the cache.
     pub fn canonical(&self) -> String {
-        let common = format!(
-            "wl={};policy={};dur_us={};quantum_us={};step={};seed={};tol_us={};hw={}",
-            self.workload.canonical(),
-            self.policy.canonical(),
+        let mut out = String::with_capacity(CANONICAL_CAPACITY);
+        let _ = self.write_canonical(&mut out);
+        out
+    }
+
+    /// Writes [`canonical`](Self::canonical)'s encoding into `out`: one
+    /// buffer for the whole string, which a caller keying many specs can
+    /// clear and reuse.
+    pub(crate) fn write_canonical(&self, out: &mut impl Write) -> fmt::Result {
+        let version = if self.fidelity.is_summary() {
+            SUMMARY_SIM_VERSION
+        } else {
+            SIM_VERSION
+        };
+        write!(out, "v{version};wl=")?;
+        self.workload.write_canonical(out)?;
+        out.write_str(";policy=")?;
+        self.policy.write_canonical(out)?;
+        write!(
+            out,
+            ";dur_us={};quantum_us={};step={};seed={};tol_us={};hw=",
             self.duration.as_micros(),
             self.quantum.map_or(0, |q| q.as_micros()),
             self.initial_step,
             self.seed,
             self.tolerance.as_micros(),
-            self.hw.canonical(),
-        );
+        )?;
+        self.hw.write_canonical(out)?;
         if self.fidelity.is_summary() {
-            format!(
-                "v{SUMMARY_SIM_VERSION};{common};fid={}",
-                self.fidelity.tag()
-            )
-        } else {
-            format!("v{SIM_VERSION};{common}")
+            write!(out, ";fid={}", self.fidelity.tag())?;
         }
+        Ok(())
     }
 
     /// The spec's content address.
@@ -381,6 +413,10 @@ impl JobSpec {
     }
 }
 
+/// Bytes reserved for a canonical string; the golden grid's longest is
+/// 217.
+const CANONICAL_CAPACITY: usize = 256;
+
 /// Bump to invalidate every cached result when simulator semantics
 /// change (see [`JobSpec::canonical`]).
 ///
@@ -460,36 +496,62 @@ impl JobResult {
         )
     }
 
-    /// Decodes [`JobResult::encode`] output; `None` on any malformed or
-    /// missing field (the caller treats that as a cache miss).
+    /// Decodes [`JobResult::encode`] output, strictly and in order: the
+    /// 13 fields must come in `encode`'s order, each once, each value
+    /// spelled as `encode` spells it (16 lowercase hex digits for a
+    /// float's bits, decimal without sign or leading zero for an
+    /// integer), and nothing may follow the last. Anything else — a
+    /// missing, reordered, duplicated, unknown or trailing field, an
+    /// empty value — is `None`, which the caller treats as a cache miss.
+    /// Every `f64` bit pattern round-trips.
     pub fn decode(s: &str) -> Option<Self> {
-        let mut fields = std::collections::HashMap::new();
-        for pair in s.trim().split(';') {
-            let (k, v) = pair.split_once('=')?;
-            fields.insert(k.trim(), v.trim());
-        }
-        let f64_field = |k: &str| -> Option<f64> {
-            u64::from_str_radix(fields.get(k)?, 16)
-                .ok()
-                .map(f64::from_bits)
+        let mut fields = s.split(';');
+        let mut field = |name: &str| fields.next()?.strip_prefix(name)?.strip_prefix('=');
+        let result = JobResult {
+            energy_j: float_bits(field("energy_j")?)?,
+            core_energy_j: float_bits(field("core_energy_j")?)?,
+            mean_freq_mhz: float_bits(field("mean_freq_mhz")?)?,
+            mean_utilization: float_bits(field("mean_utilization")?)?,
+            misses: decimal(field("misses")?)?,
+            max_lateness_us: decimal(field("max_lateness_us")?)?,
+            clock_switches: decimal(field("clock_switches")?)?,
+            voltage_switches: decimal(field("voltage_switches")?)?,
+            final_step: decimal(field("final_step")?)?,
+            frames_shown: decimal(field("frames_shown")?)?,
+            frames_dropped: decimal(field("frames_dropped")?)?,
+            sched_dropped: decimal(field("sched_dropped")?)?,
+            battery_remaining: float_bits(field("battery_remaining")?)?,
         };
-        let u64_field = |k: &str| -> Option<u64> { fields.get(k)?.parse().ok() };
-        Some(JobResult {
-            energy_j: f64_field("energy_j")?,
-            core_energy_j: f64_field("core_energy_j")?,
-            mean_freq_mhz: f64_field("mean_freq_mhz")?,
-            mean_utilization: f64_field("mean_utilization")?,
-            misses: u64_field("misses")?,
-            max_lateness_us: u64_field("max_lateness_us")?,
-            clock_switches: u64_field("clock_switches")?,
-            voltage_switches: u64_field("voltage_switches")?,
-            final_step: u64_field("final_step")?,
-            frames_shown: u64_field("frames_shown")?,
-            frames_dropped: u64_field("frames_dropped")?,
-            sched_dropped: u64_field("sched_dropped")?,
-            battery_remaining: f64_field("battery_remaining")?,
-        })
+        fields.next().is_none().then_some(result)
     }
+}
+
+/// A float from `{:016x}` of its bits: exactly 16 lowercase hex digits.
+fn float_bits(v: &str) -> Option<f64> {
+    if v.len() != 16 {
+        return None;
+    }
+    let bits = v.bytes().try_fold(0u64, |bits, b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(bits << 4 | u64::from(digit))
+    })?;
+    Some(f64::from_bits(bits))
+}
+
+/// An integer as `{}` writes it: decimal digits, no sign and no leading
+/// zero.
+fn decimal(v: &str) -> Option<u64> {
+    if v.is_empty() || (v.starts_with('0') && v != "0") {
+        return None;
+    }
+    v.bytes().try_fold(0u64, |n, b| {
+        let digit = b.is_ascii_digit().then(|| u64::from(b - b'0'))?;
+        n.checked_mul(10)?.checked_add(digit)
+    })
 }
 
 #[cfg(test)]
@@ -604,8 +666,71 @@ mod tests {
         };
         let decoded = JobResult::decode(&r.encode()).expect("decodes");
         assert_eq!(r, decoded);
-        assert_eq!(JobResult::decode("garbage"), None);
-        assert_eq!(JobResult::decode("energy_j=zz"), None);
+
+        // Every bit pattern round-trips, compared by bits since NaN is
+        // not equal to itself: a NaN with a payload, a signalling NaN
+        // with its sign set, -0.0, both infinities, and u64::MAX.
+        let edge = JobResult {
+            energy_j: f64::from_bits(0x7ff8_dead_beef_0001),
+            core_energy_j: f64::from_bits(0xfff0_0000_0000_0001),
+            mean_freq_mhz: -0.0,
+            mean_utilization: f64::INFINITY,
+            misses: u64::MAX,
+            max_lateness_us: 0,
+            clock_switches: u64::MAX,
+            voltage_switches: 1,
+            final_step: u64::MAX,
+            frames_shown: 0,
+            frames_dropped: u64::MAX,
+            sched_dropped: u64::MAX,
+            battery_remaining: f64::NEG_INFINITY,
+        };
+        let back = JobResult::decode(&edge.encode()).expect("edge values decode");
+        assert_eq!(back.encode(), edge.encode());
+        let floats = |r: &JobResult| {
+            [
+                r.energy_j,
+                r.core_energy_j,
+                r.mean_freq_mhz,
+                r.mean_utilization,
+                r.battery_remaining,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(floats(&back), floats(&edge));
+
+        // Strict and ordered: only what `encode` writes decodes.
+        let good = r.encode();
+        let fields: Vec<&str> = good.split(';').collect();
+        let mut reordered = fields.clone();
+        reordered.swap(4, 5);
+        let mut duplicated = fields.clone();
+        duplicated.insert(5, fields[4]);
+        let rejected = [
+            reordered.join(";"),
+            duplicated.join(";"),
+            fields[..12].join(";"),
+            fields[1..].join(";"),
+            format!("{good};extra=1"),
+            format!("{good};"),
+            good.replace("misses=42", "misses="),
+            good.replace("misses=42", "misses=042"),
+            good.replace("misses=42", "misses=+42"),
+            good.replace("misses=42", "misses= 42"),
+            good.replace("misses=42", "misses=18446744073709551616"),
+            good.replace("energy_j=3fd5", "energy_j=3FD5"),
+            good.replace(
+                "battery_remaining=3fd8000000000000",
+                "battery_remaining=3fd8",
+            ),
+            format!("{good}\n"),
+            "garbage".to_string(),
+            "energy_j=zz".to_string(),
+            String::new(),
+        ];
+        for bad in rejected {
+            assert_eq!(JobResult::decode(&bad), None, "decoded {bad:?}");
+        }
     }
 
     #[test]

@@ -23,7 +23,13 @@ const FNV64_PRIME: u64 = 0x00000100000001b3;
 /// journal records. Like [`ContentKey`], it is defined over bytes so
 /// checksums are stable across platforms and runs.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV64_OFFSET;
+    fnv64_extend(FNV64_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a 64 hash whose state after the bytes before
+/// `bytes` is `h`, so a checksum over pieces equals [`fnv64`] over
+/// their concatenation without building it.
+pub(crate) fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV64_PRIME);
@@ -90,6 +96,10 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
         assert_ne!(fnv64(b"ab"), fnv64(b"ba"));
+        assert_eq!(
+            fnv64_extend(fnv64_extend(fnv64(b"key"), b" "), b"payload"),
+            fnv64(b"key payload")
+        );
     }
 
     #[test]

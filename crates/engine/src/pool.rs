@@ -33,7 +33,7 @@
 //! report. A healthy stream with no plan never computes one.
 
 use std::cell::LazyCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Mutex, PoisonError};
@@ -93,9 +93,11 @@ pub(crate) struct Tally {
     /// Wall-clock latency of every job a worker ran, failed ones
     /// included, µs.
     pub(crate) job_latency_us: LogHistogram,
-    /// Cells and switches per policy, keyed by descriptor so the fold
-    /// never formats a label.
-    pub(crate) per_policy: Vec<(PolicyDesc, PolicyMetrics)>,
+    /// Cells and switches per policy, keyed by the descriptor's bit
+    /// image ([`PolicyDesc::bits`]), so the fold never formats a label
+    /// and finds an entry without a scan. The map's order varies between
+    /// runs; every reader only adds counts, so no output depends on it.
+    pub(crate) per_policy: HashMap<[u64; 5], (PolicyDesc, PolicyMetrics)>,
 }
 
 impl Tally {
@@ -112,14 +114,8 @@ impl Tally {
 
     /// The entry for `desc`, added on first sight.
     fn policy(&mut self, desc: PolicyDesc) -> &mut PolicyMetrics {
-        let at = match self.per_policy.iter().position(|(d, _)| *d == desc) {
-            Some(at) => at,
-            None => {
-                self.per_policy.push((desc, PolicyMetrics::default()));
-                self.per_policy.len() - 1
-            }
-        };
-        &mut self.per_policy[at].1
+        let entry = self.per_policy.entry(desc.bits());
+        &mut entry.or_insert_with(|| (desc, PolicyMetrics::default())).1
     }
 
     /// Adds another tally in, entry by entry, so merging any number of
@@ -156,7 +152,7 @@ impl Tally {
         self.clock_switches += clock_switches;
         self.voltage_switches += voltage_switches;
         self.job_latency_us.merge(job_latency_us);
-        for (desc, p) in per_policy {
+        for (desc, p) in per_policy.values() {
             let mine = self.policy(*desc);
             mine.cells += p.cells;
             mine.clock_switches += p.clock_switches;
@@ -176,7 +172,7 @@ impl Tally {
         profile: &obs::Profile,
     ) -> RunMetrics {
         let mut per_policy: BTreeMap<String, PolicyMetrics> = BTreeMap::new();
-        for (desc, p) in &self.per_policy {
+        for (desc, p) in self.per_policy.values() {
             let entry = per_policy.entry(desc.label()).or_default();
             entry.cells += p.cells;
             entry.clock_switches += p.clock_switches;

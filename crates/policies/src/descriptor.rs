@@ -16,6 +16,8 @@
 //!   formatting is lossy and locale/version-dependent, bits are not;
 //! - enum variants use lowercase stable tags, not `Debug` output.
 
+use core::fmt::{self, Write};
+
 use itsy_hw::{ClockTable, StepIndex};
 use sim_core::Voltage;
 
@@ -66,16 +68,39 @@ impl PredictorDesc {
 
     /// Stable canonical tag for content addressing.
     pub fn canonical(&self) -> String {
+        let mut out = String::new();
+        let _ = self.write_canonical(&mut out);
+        out
+    }
+
+    /// Writes [`canonical`](Self::canonical)'s tag into `out`.
+    fn write_canonical(&self, out: &mut impl Write) -> fmt::Result {
         match self {
-            PredictorDesc::Past => "past".to_string(),
-            PredictorDesc::AvgN(n) => format!("avg_n:{n}"),
-            PredictorDesc::SlidingWindow(n) => format!("sliding:{n}"),
-            PredictorDesc::Flat(level) => format!("flat:{:016x}", level.to_bits()),
-            PredictorDesc::LongShort => "long_short".to_string(),
-            PredictorDesc::Aged(k) => format!("aged:{:016x}", k.to_bits()),
-            PredictorDesc::Cycle => "cycle".to_string(),
-            PredictorDesc::Pattern => "pattern".to_string(),
-            PredictorDesc::Peak => "peak".to_string(),
+            PredictorDesc::Past => out.write_str("past"),
+            PredictorDesc::AvgN(n) => write!(out, "avg_n:{n}"),
+            PredictorDesc::SlidingWindow(n) => write!(out, "sliding:{n}"),
+            PredictorDesc::Flat(level) => write!(out, "flat:{:016x}", level.to_bits()),
+            PredictorDesc::LongShort => out.write_str("long_short"),
+            PredictorDesc::Aged(k) => write!(out, "aged:{:016x}", k.to_bits()),
+            PredictorDesc::Cycle => out.write_str("cycle"),
+            PredictorDesc::Pattern => out.write_str("pattern"),
+            PredictorDesc::Peak => out.write_str("peak"),
+        }
+    }
+
+    /// The variant's tag and its parameter's bits, as
+    /// [`PolicyDesc::bits`] packs them.
+    fn bits(&self) -> (u64, u64) {
+        match *self {
+            PredictorDesc::Past => (0, 0),
+            PredictorDesc::AvgN(n) => (1, n.into()),
+            PredictorDesc::SlidingWindow(n) => (2, n as u64),
+            PredictorDesc::Flat(level) => (3, level.to_bits()),
+            PredictorDesc::LongShort => (4, 0),
+            PredictorDesc::Aged(k) => (5, k.to_bits()),
+            PredictorDesc::Cycle => (6, 0),
+            PredictorDesc::Pattern => (7, 0),
+            PredictorDesc::Peak => (8, 0),
         }
     }
 
@@ -204,9 +229,17 @@ impl PolicyDesc {
 
     /// Stable canonical encoding for content addressing.
     pub fn canonical(&self) -> String {
+        let mut out = String::new();
+        let _ = self.write_canonical(&mut out);
+        out
+    }
+
+    /// Writes [`canonical`](Self::canonical)'s encoding into `out`, so a
+    /// caller can build a whole job key in one buffer.
+    pub fn write_canonical(&self, out: &mut impl Write) -> fmt::Result {
         match self {
             PolicyDesc::Constant { step, voltage_mv } => {
-                format!("constant;step={step};mv={voltage_mv}")
+                write!(out, "constant;step={step};mv={voltage_mv}")
             }
             PolicyDesc::Interval {
                 predictor,
@@ -214,19 +247,57 @@ impl PolicyDesc {
                 up,
                 down,
                 voltage_rule,
-            } => format!(
-                "interval;pred={};up_th={:016x};down_th={:016x};up={};down={};vrule={}",
-                predictor.canonical(),
-                hysteresis.up.to_bits(),
-                hysteresis.down.to_bits(),
-                up.label(),
-                down.label(),
+            } => {
+                out.write_str("interval;pred=")?;
+                predictor.write_canonical(out)?;
+                write!(
+                    out,
+                    ";up_th={:016x};down_th={:016x};up={};down={};vrule=",
+                    hysteresis.up.to_bits(),
+                    hysteresis.down.to_bits(),
+                    up.label(),
+                    down.label(),
+                )?;
                 match voltage_rule {
-                    Some(r) => format!("le{}", r.low_at_or_below),
-                    None => "none".to_string(),
-                },
-            ),
-            PolicyDesc::SimpleAvg { window } => format!("simple_avg;window={window}"),
+                    Some(r) => write!(out, "le{}", r.low_at_or_below),
+                    None => out.write_str("none"),
+                }
+            }
+            PolicyDesc::SimpleAvg { window } => write!(out, "simple_avg;window={window}"),
+        }
+    }
+
+    /// The descriptor's bit image: its variant, rules and parameters as
+    /// integers, floats by `to_bits()` — the bits
+    /// [`canonical`](Self::canonical) encodes, so two descriptors share
+    /// an image exactly when they share an encoding. Unlike the
+    /// descriptor, the image is `Eq + Hash`, so it can key a map.
+    pub fn bits(&self) -> [u64; 5] {
+        match *self {
+            PolicyDesc::Constant { step, voltage_mv } => [0, step as u64, voltage_mv.into(), 0, 0],
+            PolicyDesc::Interval {
+                predictor,
+                hysteresis,
+                up,
+                down,
+                voltage_rule,
+            } => {
+                let (tag, param) = predictor.bits();
+                let rules = 1
+                    | tag << 8
+                    | (up as u64) << 16
+                    | (down as u64) << 24
+                    | u64::from(voltage_rule.is_some()) << 32;
+                let step = voltage_rule.map_or(0, |r| r.low_at_or_below as u64);
+                [
+                    rules,
+                    param,
+                    hysteresis.up.to_bits(),
+                    hysteresis.down.to_bits(),
+                    step,
+                ]
+            }
+            PolicyDesc::SimpleAvg { window } => [2, window as u64, 0, 0, 0],
         }
     }
 
@@ -274,6 +345,54 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 11 * 3 * 3 * 2);
+    }
+
+    #[test]
+    fn bit_images_agree_with_canonical_encodings() {
+        // Two descriptors share a bit image exactly when they share an
+        // encoding, over every variant, rule and parameter kind.
+        let mut descs = vec![
+            PolicyDesc::constant_top(),
+            PolicyDesc::Constant {
+                step: 5,
+                voltage_mv: 1230,
+            },
+            PolicyDesc::SimpleAvg { window: 4 },
+            PolicyDesc::SimpleAvg { window: 5 },
+        ];
+        let predictors = [
+            PredictorDesc::Past,
+            PredictorDesc::AvgN(3),
+            PredictorDesc::AvgN(4),
+            PredictorDesc::SlidingWindow(3),
+            PredictorDesc::Flat(0.7),
+            PredictorDesc::Flat(-0.0),
+            PredictorDesc::LongShort,
+            PredictorDesc::Aged(0.7),
+            PredictorDesc::Cycle,
+            PredictorDesc::Pattern,
+            PredictorDesc::Peak,
+        ];
+        for p in predictors {
+            for up in [SpeedChange::One, SpeedChange::Double, SpeedChange::Peg] {
+                for down in [SpeedChange::One, SpeedChange::Peg] {
+                    for th in [Hysteresis::PERING, Hysteresis::BEST] {
+                        let d = PolicyDesc::interval(p, th, up, down);
+                        descs.push(d);
+                        for low_at_or_below in [0, 5] {
+                            descs.push(d.with_voltage_rule(VoltageRule { low_at_or_below }));
+                        }
+                    }
+                }
+            }
+        }
+        let encoded: Vec<(String, [u64; 5])> =
+            descs.iter().map(|d| (d.canonical(), d.bits())).collect();
+        for (a, a_bits) in &encoded {
+            for (b, b_bits) in &encoded {
+                assert_eq!(a == b, a_bits == b_bits, "{a} vs {b}");
+            }
+        }
     }
 
     #[test]
