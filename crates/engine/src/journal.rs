@@ -152,6 +152,40 @@ mod tests {
         }
     }
 
+    /// One journal record's bytes, written out: the key of the spec
+    /// `cache::tests` pins (Web, best policy from the paper, 5 s, seed 1)
+    /// and `result(0.1)`. A rewrite of the journal, the result codec or
+    /// the framing that still round-trips with itself must reproduce
+    /// them exactly, or a resumed run orphans the journal it resumes.
+    const RECORD: &str = "c817180d981397b0e1014d02373a10a6 aa6bc9b5f7687f45 \
+        energy_j=3fb999999999999a;core_energy_j=0000000000000000;\
+        mean_freq_mhz=0000000000000000;mean_utilization=0000000000000000;\
+        misses=0;max_lateness_us=0;clock_switches=0;voltage_switches=0;\
+        final_step=0;frames_shown=0;frames_dropped=0;sched_dropped=0;\
+        battery_remaining=bff0000000000000";
+
+    #[test]
+    fn a_recorded_result_is_the_pinned_line() {
+        let dir = temp_state("pinned");
+        let key = crate::job::JobSpec::new(
+            crate::job::WorkloadSpec::Benchmark(workloads::Benchmark::Web),
+            policies::PolicyDesc::best_from_paper(),
+            5,
+            1,
+        )
+        .key();
+        let mut j = Journal::open(&dir, "sweep").expect("open");
+        j.record(key, &result(0.1)).expect("record");
+        drop(j);
+        let text = fs::read_to_string(Journal::path_for(&dir, "sweep")).expect("read");
+        assert_eq!(text, format!("{RECORD}\n"));
+        assert_eq!(
+            Journal::replay(&dir, "sweep"),
+            HashMap::from([(key, result(0.1))])
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn record_replay_finish() {
         let dir = temp_state("basic");
