@@ -1,53 +1,41 @@
 //! On-disk result cache, keyed by job content address.
 //!
-//! Layout: one append-only log per cache directory, `<dir>/v3.log`. The
-//! format version lives in the file name, so no single damaged line can
-//! poison the log. Each stored result is one line in the journal's CRC
-//! framing (see [`crate::journal`]):
+//! Layout: one record log per cache directory, `<dir>/v3.log`, in the
+//! framing, index and torn-tail repair the journal shares (`frame.rs`).
+//! The format version lives in the file name, so no single damaged line
+//! can poison the log. Each stored result is one record:
 //!
 //! ```text
 //! <key-hex> <crc-hex> <canonical spec>\t<JobResult::encode() output>
 //! ```
 //!
-//! where `crc` is FNV-1a 64 over `"<key-hex> <payload>"` and the payload
-//! is everything after the CRC field. A canonical spec never contains a
-//! tab.
+//! A canonical spec never contains a tab. On first use a
+//! [`ResultCache`] opens the log, which indexes each key's *last*
+//! record, so a later store for a key supersedes every earlier one.
 //!
-//! **Index.** On first use a [`ResultCache`] reads the log once and maps
-//! each key to the offset and length of that key's *last* record, so a
-//! later record for a key supersedes every earlier one (last record
-//! wins). The index holds offsets, never record bytes. A line whose key
-//! does not parse (a torn tail, garbage) is skipped, and its cell is
-//! recomputed.
-//!
-//! **Probe.** A lookup is a hash lookup plus one positioned read
-//! (`pread`) of the record. The record is validated before it is
-//! served: its CRC, checked over the bytes as read, then a byte-for-byte
-//! match of the stored canonical spec against the requesting one, and
-//! the decode. A record for a different spec (a hash collision) is a
-//! plain miss. A record that fails its CRC, is not UTF-8 or does not
-//! decode is **quarantined**: its bytes are copied to
+//! **Probe.** A lookup is a hash lookup plus one positioned read of the
+//! record. The record is validated before it is served: its CRC, checked
+//! over the bytes as read, then a byte-for-byte match of the stored
+//! canonical spec against the requesting one, and the decode. A record
+//! for a different spec (a hash collision) is a plain miss. A record
+//! that fails its CRC, is not UTF-8 or does not decode is
+//! **quarantined**: its bytes are copied to
 //! `<dir>/quarantine/<key>.entry` for forensics, the key leaves the
 //! index, and [`CacheProbe::Quarantined`] tells the engine to recompute
 //! the cell. The recomputed result's record then supersedes the damaged
 //! one.
 //!
-//! **Store.** One `write_all` of one record to the log, which each
-//! `ResultCache` opens once. A writer killed mid-append leaves a log
-//! that does not end in `\n`; the next store writes a `\n` before its
-//! record, so the torn record fails its CRC alone and takes no later
-//! record with it. Like the journal, the log is not fsynced, and it is
-//! never compacted: it grows by one record per stored result.
+//! **Store.** One append of one record to the log, which each
+//! `ResultCache` opens once; the first store creates the directory and
+//! the log.
 
-use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Seek, Write};
-use std::os::unix::fs::FileExt;
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use crate::fault::FaultInjector;
-use crate::frame;
+use crate::frame::{self, Log};
 use crate::job::{JobResult, JobSpec};
 use crate::key::ContentKey;
 
@@ -84,18 +72,6 @@ pub struct ResultCache {
     log: Mutex<Option<Log>>,
 }
 
-/// An opened log: its handle and the index of its records.
-#[derive(Debug, Default)]
-struct Log {
-    /// `None` until the log exists.
-    file: Option<File>,
-    /// Each key's last record: its offset and its length without the
-    /// newline.
-    index: HashMap<ContentKey, (u64, usize)>,
-    /// Whether the log ends mid-line (a writer killed mid-append).
-    torn: bool,
-}
-
 impl ResultCache {
     /// Opens (without touching the filesystem) a cache rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
@@ -122,11 +98,11 @@ impl ResultCache {
 
     /// Runs `f` on the log, reading its index on first use. Every step
     /// of an update leaves the log consistent (a record enters the index
-    /// only after its write, and `torn` errs towards a spare newline), so
-    /// a lock poisoned by a panicking caller is recovered.
+    /// only after its write, and a torn tail errs towards a spare
+    /// newline), so a lock poisoned by a panicking caller is recovered.
     fn with_log<T>(&self, f: impl FnOnce(&mut Log) -> T) -> T {
         let mut log = self.log.lock().unwrap_or_else(PoisonError::into_inner);
-        f(log.get_or_insert_with(|| Log::open(&self.log_path())))
+        f(log.get_or_insert_with(|| Log::open(self.log_path())))
     }
 
     /// Looks up a spec. Returns `None` on missing, damaged, or
@@ -154,28 +130,24 @@ impl ResultCache {
         faults: &FaultInjector,
     ) -> CacheProbe {
         self.with_log(|log| {
-            let Some(&(at, len)) = log.index.get(&key) else {
+            let Some(&at) = log.index.get(&key) else {
                 return CacheProbe::Miss;
             };
             if faults.cache_read_error(key) {
                 // The read "failed"; indistinguishable from no record.
                 return CacheProbe::Miss;
             }
-            let Ok(mut bytes) = log.read_at(at, len) else {
+            let Ok(mut bytes) = log.read(at) else {
                 return CacheProbe::Miss;
             };
             faults.damage_cache_bytes(key, &mut bytes);
 
             let _span = obs::span::enter("cache_decode");
-            match parse(&bytes, canonical) {
-                Parsed::Hit(r) => CacheProbe::Hit(r),
-                Parsed::Collision => CacheProbe::Miss,
-                Parsed::Damaged => {
-                    log.index.remove(&key);
-                    self.quarantine(key, &bytes);
-                    CacheProbe::Quarantined
-                }
-            }
+            parse(&bytes, canonical).unwrap_or_else(|| {
+                log.index.remove(&key);
+                self.quarantine(key, &bytes);
+                CacheProbe::Quarantined
+            })
         })
     }
 
@@ -227,7 +199,7 @@ impl ResultCache {
             let _span = obs::span::enter("result_encode");
             frame::frame(key, &format!("{canonical}\t{}", result.encode()))
         };
-        self.with_log(|log| log.append(&self.dir, key, record))
+        self.with_log(|log| log.append(key, record, |_| None))
     }
 
     /// Number of keys the log holds a record for (damaged records count
@@ -249,110 +221,21 @@ impl ResultCache {
     }
 }
 
-impl Log {
-    /// Opens and indexes the log at `path`; an absent or unreadable log
-    /// is an empty one.
-    fn open(path: &Path) -> Log {
-        let opened = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(path)
-            .or_else(|_| File::open(path));
-        let Ok(file) = opened else {
-            return Log::default();
-        };
-        let mut log = Log::default();
-        let (mut reader, mut line, mut at) = (BufReader::new(&file), Vec::new(), 0u64);
-        loop {
-            line.clear();
-            let n = match reader.read_until(b'\n', &mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => n,
-            };
-            log.torn = !line.ends_with(b"\n");
-            let len = n - usize::from(!log.torn);
-            if let Some(key) = frame::key_of(&line[..len]) {
-                log.index.insert(key, (at, len));
-            }
-            at += n as u64;
-        }
-        log.file = Some(file);
-        log
-    }
-
-    /// The `len` bytes at `at`, in one positioned read that leaves the
-    /// file's offset alone.
-    fn read_at(&self, at: u64, len: usize) -> io::Result<Vec<u8>> {
-        let file = self.file.as_ref().ok_or(io::ErrorKind::NotFound)?;
-        let mut bytes = vec![0; len];
-        file.read_exact_at(&mut bytes, at)?;
-        Ok(bytes)
-    }
-
-    /// Appends one record with one `write_all`, creating the log on
-    /// first use, and files it in the index.
-    fn append(&mut self, dir: &Path, key: ContentKey, record: String) -> io::Result<()> {
-        let file = match &mut self.file {
-            Some(file) => file,
-            None => {
-                fs::create_dir_all(dir)?;
-                self.file.insert(
-                    OpenOptions::new()
-                        .create(true)
-                        .read(true)
-                        .append(true)
-                        .open(dir.join(LOG))?,
-                )
-            }
-        };
-        let len = record.len();
-        let mut line = record;
-        line.push('\n');
-        if self.torn {
-            // End the torn record first, so it fails its CRC alone
-            // instead of swallowing this one.
-            line.insert(0, '\n');
-        }
-        // Until the write is known to have landed whole.
-        self.torn = true;
-        file.write_all(line.as_bytes())?;
-        self.torn = false;
-        // Appends land at the end, so the position after the write is
-        // the end of this record's line.
-        let end = file.stream_position()?;
-        self.index.insert(key, (end - 1 - len as u64, len));
-        Ok(())
-    }
-}
-
-/// Outcome of validating a record's bytes against a requesting spec.
-enum Parsed {
-    Hit(JobResult),
-    /// Healthy record for a *different* spec (key collision) — not our
-    /// result, but nothing is wrong with the record.
-    Collision,
-    Damaged,
-}
-
-fn parse(bytes: &[u8], canonical: &str) -> Parsed {
+/// Validates a record's bytes against a requesting spec: a hit, a miss
+/// for a healthy record of a different spec (a key collision), or `None`
+/// for a damaged record.
+fn parse(bytes: &[u8], canonical: &str) -> Option<CacheProbe> {
     // The CRC is checked over the raw bytes, so a damaged record need
     // not be UTF-8 (a flipped bit can land in a continuation byte); one
     // whose CRC passes but that is not UTF-8 is damaged too.
-    let Some((_, payload)) = frame::unframe(bytes) else {
-        return Parsed::Damaged;
-    };
-    let Some((stored_spec, encoded)) = payload.split_once('\t') else {
-        return Parsed::Damaged;
-    };
+    let (_, payload) = frame::unframe(bytes)?;
+    let (stored_spec, encoded) = payload.split_once('\t')?;
     if stored_spec != canonical {
-        return Parsed::Collision;
+        return Some(CacheProbe::Miss);
     }
-    match JobResult::decode(encoded) {
-        Some(r) => Parsed::Hit(r),
-        // Checksum passed but the payload does not decode: a writer bug
-        // or format change — quarantine, don't serve.
-        None => Parsed::Damaged,
-    }
+    // A record whose CRC passes but that does not decode is a writer bug
+    // or a format change: quarantined, not served.
+    JobResult::decode(encoded).map(CacheProbe::Hit)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The CRC framing shared by the journal and the cache log.
+//! The record log that the result cache and the resume journal share:
+//! an append-only file of CRC-framed records, indexed by key.
 //!
 //! A record is one line:
 //!
@@ -10,8 +11,26 @@
 //! contain a newline, so a file of records splits on `\n`, and a record
 //! cut short by a killed writer fails its CRC instead of parsing into a
 //! wrong value.
+//!
+//! A [`Log`] reads its file once when it opens and maps each key to the
+//! offset and length of that key's *last* record, so a later record for
+//! a key supersedes every earlier one (last record wins). The index
+//! holds offsets, never record bytes, and skips a line whose key does
+//! not parse. A record is read back with one positioned read (`pread`)
+//! and checked by the log's user. An append is one `write_all` of one
+//! line, and the first one creates the file. A writer killed mid-append,
+//! or a torn append injected by a fault plan, leaves the file mid-line;
+//! the next append writes a `\n` before its record, so the torn record
+//! fails its CRC alone and takes no later record with it. Every record
+//! is a pure function of its key, so a lost one costs only its
+//! recomputation. The log is not fsynced and never compacted.
 
-use core::fmt::Write;
+use core::fmt::Write as _;
+use std::collections::HashMap;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufRead, BufReader, Seek, Write};
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 
 use crate::key::{fnv64, fnv64_extend, ContentKey};
 
@@ -48,6 +67,117 @@ pub(crate) fn unframe(line: &[u8]) -> Option<(ContentKey, &str)> {
 pub(crate) fn key_of(line: &[u8]) -> Option<ContentKey> {
     let end = line.iter().position(|&b| b == b' ').unwrap_or(line.len());
     ContentKey::parse(std::str::from_utf8(&line[..end]).ok()?)
+}
+
+/// An open record log: its file and the index of its records.
+#[derive(Debug)]
+pub(crate) struct Log {
+    path: PathBuf,
+    /// `None` until the file exists.
+    file: Option<File>,
+    /// Each key's last record: its offset, and its length without the
+    /// newline. A user may drop a key, so that its records are not found
+    /// again.
+    pub(crate) index: HashMap<ContentKey, (u64, usize)>,
+    /// Whether the file ends mid-line.
+    torn: bool,
+}
+
+impl Log {
+    /// Opens and indexes the log at `path`; an absent or unreadable file
+    /// is an empty log.
+    pub(crate) fn open(path: PathBuf) -> Log {
+        let file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .open(&path)
+            .or_else(|_| File::open(&path))
+            .ok();
+        let (mut index, mut torn, mut at) = (HashMap::new(), false, 0u64);
+        if let Some(file) = &file {
+            let (mut reader, mut line) = (BufReader::new(file), Vec::new());
+            while let Ok(n @ 1..) = reader.read_until(b'\n', &mut line) {
+                torn = !line.ends_with(b"\n");
+                let len = n - usize::from(!torn);
+                if let Some(key) = key_of(&line[..len]) {
+                    index.insert(key, (at, len));
+                }
+                at += n as u64;
+                line.clear();
+            }
+        }
+        Log {
+            path,
+            file,
+            index,
+            torn,
+        }
+    }
+
+    /// The log's file.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// The record at `at` of `len` bytes, in one positioned read that
+    /// leaves the file's offset alone.
+    pub(crate) fn read(&self, (at, len): (u64, usize)) -> io::Result<Vec<u8>> {
+        let file = self.file.as_ref().ok_or(io::ErrorKind::NotFound)?;
+        let mut bytes = vec![0; len];
+        file.read_exact_at(&mut bytes, at)?;
+        Ok(bytes)
+    }
+
+    /// Appends `key`'s framed `record` as one line with one `write_all`,
+    /// creating the file on first use, and files it in the index.
+    /// `tear` is given the line's length, its newline included; if it
+    /// returns a smaller count, only that many bytes land. The log is
+    /// then torn, as if its writer had been killed mid-append, and, as
+    /// with a real torn write, the caller is not told.
+    pub(crate) fn append(
+        &mut self,
+        key: ContentKey,
+        record: String,
+        tear: impl FnOnce(usize) -> Option<usize>,
+    ) -> io::Result<()> {
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => {
+                if let Some(dir) = self.path.parent() {
+                    fs::create_dir_all(dir)?;
+                }
+                self.file.insert(
+                    OpenOptions::new()
+                        .create(true)
+                        .read(true)
+                        .append(true)
+                        .open(&self.path)?,
+                )
+            }
+        };
+        let len = record.len();
+        let mut line = record;
+        line.push('\n');
+        let keep = tear(line.len()).unwrap_or(line.len());
+        let repair = usize::from(self.torn);
+        if self.torn {
+            // End the torn record first, so it fails its CRC alone
+            // instead of swallowing this one.
+            line.insert(0, '\n');
+        }
+        // Until the write is known to have landed whole.
+        self.torn = true;
+        file.write_all(&line.as_bytes()[..repair + keep])?;
+        if keep <= len {
+            return Ok(());
+        }
+        self.torn = false;
+        // Appends land at the end, so the position after the write is
+        // the end of this record's line.
+        let end = file.stream_position()?;
+        self.index.insert(key, (end - 1 - len as u64, len));
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -2,42 +2,41 @@
 //!
 //! The cache already deduplicates work *across* invocations, but it can
 //! be disabled (`--no-cache`) and it says nothing about which batch a
-//! result belonged to. The journal is the per-batch record: one file
-//! per named batch, one CRC-framed line per completed job —
+//! result belonged to. The journal is the per-batch record: one record
+//! log per named batch, `state/<batch>.journal`, in the framing, index
+//! and torn-tail repair the cache log shares (`frame.rs`), with one
+//! record per completed job —
 //!
 //! ```text
 //! <key-hex> <crc-hex> <JobResult::encode() output>
 //! ```
 //!
-//! where `crc` is FNV-1a 64 over `"<key-hex> <payload>"`, the framing
-//! the cache log's records use too ([`crate::cache`]). Lines are
-//! appended as jobs finish (single writer: the collector thread), so a
-//! killed run leaves a valid prefix; the CRC is what makes that safe
-//! to rely on. A torn final write — or a record merged with a torn
-//! predecessor after the process was killed mid-`write(2)` — fails its
-//! CRC and is *skipped* on replay rather than misparsed into a wrong
-//! result; the affected cells are simply recomputed.
+//! Records are appended as jobs finish (single writer: the collector
+//! thread), and the file appears with the first of them. A killed run
+//! leaves a valid prefix and at most one torn record, which fails its
+//! CRC; the next run's first append ends it with a newline, so it costs
+//! only its own recomputation, as does a tear a fault plan injects.
 //!
-//! On `--resume` the journal is replayed and any job whose key appears
-//! is served from it without re-simulation — independently of the
-//! cache. A batch that runs to completion deletes its journal; a
-//! leftover journal therefore always means "interrupted run".
+//! On `--resume` the journal is replayed: each key's last record that
+//! passes its CRC and decodes serves its job without re-simulation,
+//! independently of the cache. A batch that runs to completion deletes
+//! its journal; a leftover journal therefore always means "interrupted
+//! run".
 
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::fault::FaultInjector;
-use crate::frame;
+use crate::frame::{self, Log};
 use crate::job::JobResult;
 use crate::key::ContentKey;
 
 /// Journal of completed jobs for one named batch.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
-    writer: Option<BufWriter<File>>,
+    log: Log,
 }
 
 impl Journal {
@@ -58,37 +57,32 @@ impl Journal {
         state_dir.join(format!("{safe}.journal"))
     }
 
-    /// Opens the journal for appending, creating parent dirs as needed.
+    /// Opens the journal for appending, creating the state directory;
+    /// the file itself is created by the first record.
     pub fn open(state_dir: &Path, batch: &str) -> io::Result<Self> {
         fs::create_dir_all(state_dir)?;
-        let path = Self::path_for(state_dir, batch);
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Journal {
-            path,
-            writer: Some(BufWriter::new(file)),
+            log: Log::open(Self::path_for(state_dir, batch)),
         })
     }
 
-    /// Replays an existing journal into a key → result map. Damaged
-    /// lines — a torn tail from a killed run, a record merged with a
-    /// torn predecessor, any CRC mismatch — are skipped; everything
-    /// that passes is a record that was durably and fully written.
+    /// Replays an existing journal into a key → result map: each key's
+    /// last record, if it passes its CRC and decodes. A damaged record —
+    /// a torn tail from a killed run, a torn append, any CRC mismatch —
+    /// is skipped; everything served was fully written.
     pub fn replay(state_dir: &Path, batch: &str) -> HashMap<ContentKey, JobResult> {
-        let path = Self::path_for(state_dir, batch);
-        let Ok(bytes) = fs::read(&path) else {
-            return HashMap::new();
-        };
-        String::from_utf8_lossy(&bytes)
-            .lines()
-            .filter_map(|line| {
-                let (key, payload) = frame::unframe(line.as_bytes())?;
-                Some((key, JobResult::decode(payload)?))
+        let log = Log::open(Self::path_for(state_dir, batch));
+        log.index
+            .iter()
+            .filter_map(|(&key, &at)| {
+                let bytes = log.read(at).ok()?;
+                Some((key, JobResult::decode(frame::unframe(&bytes)?.1)?))
             })
             .collect()
     }
 
-    /// Appends one completed job and flushes, so the line survives a
-    /// kill immediately after.
+    /// Appends one completed job with one unbuffered write, so the
+    /// record survives a kill immediately after.
     pub fn record(&mut self, key: ContentKey, result: &JobResult) -> io::Result<()> {
         self.record_with(key, result, &FaultInjector::inert())
     }
@@ -102,20 +96,15 @@ impl Journal {
         result: &JobResult,
         faults: &FaultInjector,
     ) -> io::Result<()> {
-        let w = self.writer.as_mut().expect("journal open");
-        let mut line = frame::frame(key, &result.encode());
-        line.push('\n');
-        match faults.journal_tear(key, line.len()) {
-            Some(keep) => w.write_all(&line.as_bytes()[..keep])?,
-            None => w.write_all(line.as_bytes())?,
-        }
-        w.flush()
+        let record = frame::frame(key, &result.encode());
+        self.log
+            .append(key, record, |len| faults.journal_tear(key, len))
     }
 
-    /// Marks the batch complete: closes and deletes the journal.
-    pub fn finish(mut self) -> io::Result<()> {
-        drop(self.writer.take());
-        match fs::remove_file(&self.path) {
+    /// Marks the batch complete: deletes the journal, if a record ever
+    /// created it, and closes it.
+    pub fn finish(self) -> io::Result<()> {
+        match fs::remove_file(self.log.path()) {
             Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
             _ => Ok(()),
         }
@@ -126,6 +115,7 @@ impl Journal {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use std::io::Write;
 
     fn temp_state(tag: &str) -> PathBuf {
         let dir =
@@ -215,11 +205,33 @@ mod tests {
         drop(j);
         // Append garbage half-line as if the process died mid-write.
         let path = Journal::path_for(&dir, "sweep");
-        let mut f = OpenOptions::new().append(true).open(&path).expect("open");
+        let mut f = fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .expect("open");
         write!(f, "deadbeef").expect("tear");
         let replayed = Journal::replay(&dir, "sweep");
         assert_eq!(replayed.len(), 1);
         assert!(replayed.contains_key(&ContentKey(7)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_after_a_torn_tail_replays() {
+        // A writer killed mid-line leaves half a record and no newline.
+        // The resumed run's first record must not be glued onto it.
+        let dir = temp_state("resume");
+        fs::create_dir_all(&dir).expect("state dir");
+        let torn = frame::frame(ContentKey(1), &result(1.0).encode());
+        let path = Journal::path_for(&dir, "sweep");
+        fs::write(&path, &torn[..torn.len() / 2]).expect("tear");
+        let mut j = Journal::open(&dir, "sweep").expect("open");
+        j.record(ContentKey(2), &result(2.0)).expect("record");
+        drop(j);
+        assert_eq!(
+            Journal::replay(&dir, "sweep"),
+            HashMap::from([(ContentKey(2), result(2.0))])
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -275,8 +287,8 @@ mod tests {
         // This record tears: only a prefix lands, no newline.
         j.record_with(ContentKey(2), &result(2.0), &tear_second)
             .expect("torn record still reports ok, like a real torn write");
-        // The next record appends onto the torn line and is lost with
-        // it — the cost of a tear is recomputation, never bad data.
+        // The next record ends the torn line first, so the tear costs
+        // only its own record's recomputation, never bad data.
         j.record(ContentKey(3), &result(3.0)).expect("record");
         j.record(ContentKey(4), &result(4.0)).expect("record");
         drop(j);
@@ -288,8 +300,8 @@ mod tests {
                 .keys()
                 .map(|k| k.0)
                 .collect::<std::collections::BTreeSet<_>>(),
-            [1u128, 4].into_iter().collect(),
-            "torn record and its merge victim are skipped; the rest replay"
+            [1u128, 3, 4].into_iter().collect(),
+            "the torn record is skipped; the rest replay"
         );
         let _ = fs::remove_dir_all(&dir);
     }

@@ -1,7 +1,8 @@
 //! Property tests for the journal's crash-safety contract: whatever
 //! sequence of records is written, and wherever a crash truncates the
 //! file, replay parses a valid prefix of what was durably written —
-//! and never panics, and never invents or mutates a record.
+//! and never panics, and never invents or mutates a record — and the
+//! next record after the cut replays too.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -55,22 +56,21 @@ fn result_from(seed: u64) -> JobResult {
     }
 }
 
+/// The key a seed's record is filed under.
+fn key_from(seed: u64) -> ContentKey {
+    ContentKey((mix(seed) as u128) << 64 | mix(seed ^ 0xabcd) as u128)
+}
+
 /// Writes `seeds` as journal records; returns them in written order.
 fn write_records(dir: &Path, seeds: &[u64]) -> Vec<(ContentKey, JobResult)> {
     let mut j = Journal::open(dir, "prop").expect("open journal");
     let records: Vec<(ContentKey, JobResult)> = seeds
         .iter()
-        .map(|&s| {
-            (
-                ContentKey((mix(s) as u128) << 64 | mix(s ^ 0xabcd) as u128),
-                result_from(s),
-            )
-        })
+        .map(|&s| (key_from(s), result_from(s)))
         .collect();
     for (k, r) in &records {
         j.record(*k, r).expect("record");
     }
-    drop(j); // flushed on drop of the BufWriter; journal file survives
     records
 }
 
@@ -99,12 +99,18 @@ proptest! {
     /// Crash safety: truncating the journal at *any* byte position
     /// must still replay cleanly — every record whose bytes all lie
     /// before the cut survives, nothing after it leaks through as a
-    /// bogus record, and parsing never panics.
+    /// bogus record, and parsing never panics. A resumed run's next
+    /// record then replays too, and takes no earlier record with it.
     #[test]
     fn any_truncation_replays_a_valid_prefix(
         seeds in proptest::collection::vec(any::<u64>(), 1..12),
         cut in any::<u64>(),
     ) {
+        // One record per key: a key's last record wins, so a torn
+        // second record would hide a whole first one.
+        let mut seeds = seeds.clone();
+        seeds.sort_unstable();
+        seeds.dedup();
         let dir = temp_state();
         let records = write_records(&dir, &seeds);
         let path = Journal::path_for(&dir, "prop");
@@ -138,6 +144,25 @@ proptest! {
         for (k, r) in &replayed {
             prop_assert_eq!(Some(&r.encode()), expected.get(k), "key {} wrong after cut", k);
         }
+
+        // A resumed run appends one more record after the cut.
+        let extra = (0..).find(|s| !seeds.contains(s)).expect("a free seed");
+        let mut j = Journal::open(&dir, "prop").expect("reopen journal");
+        j.record(key_from(extra), &result_from(extra)).expect("record after the cut");
+        drop(j);
+        let mut expected = expected;
+        expected.insert(key_from(extra), result_from(extra).encode());
+        let replayed: HashMap<ContentKey, String> = Journal::replay(&dir, "prop")
+            .into_iter()
+            .map(|(k, r)| (k, r.encode()))
+            .collect();
+        prop_assert_eq!(
+            replayed,
+            expected,
+            "record after a cut at {} of {} bytes",
+            cut,
+            bytes.len()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -151,7 +176,8 @@ proptest! {
         let dir = temp_state();
         let records = write_records(&dir, &seeds);
         let path = Journal::path_for(&dir, "prop");
-        let mut bytes = std::fs::read(&path).expect("read journal");
+        // The first record creates the journal, so no seeds means no file.
+        let mut bytes = std::fs::read(&path).unwrap_or_default();
         bytes.extend_from_slice(&garbage);
         std::fs::write(&path, &bytes).expect("append garbage");
 

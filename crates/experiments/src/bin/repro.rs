@@ -120,6 +120,22 @@ where
     })
 }
 
+/// Consumes `--flag <seconds>` from `args`; `None` if absent. A count
+/// that does not parse, or whose microseconds overflow the simulated
+/// clock, exits 2 before anything runs.
+fn take_secs(args: &mut Vec<String>, flag: &str) -> Option<u64> {
+    take_parsed(args, flag).inspect(|&secs| {
+        if sim_core::SimDuration::checked_from_secs(secs).is_none() {
+            eprintln!(
+                "bad {flag} value: {secs} s overflows the simulated clock \
+                 (at most {} s)",
+                u64::MAX / 1_000_000
+            );
+            std::process::exit(2);
+        }
+    })
+}
+
 /// Consumes a bare `--flag` from `args`; true if present.
 fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
     match args.iter().position(|a| a == flag) {
@@ -153,11 +169,11 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let seed: u64 = take_parsed(&mut args, "--seed").unwrap_or(1);
     let jobs: usize = take_parsed(&mut args, "--jobs").unwrap_or(0);
-    let sweep_secs: Option<u64> = take_parsed(&mut args, "--sweep-secs");
-    let trace_secs: Option<u64> = take_parsed(&mut args, "--trace-secs");
-    let optgap_secs: Option<u64> = take_parsed(&mut args, "--optgap-secs");
+    let sweep_secs = take_secs(&mut args, "--sweep-secs");
+    let trace_secs = take_secs(&mut args, "--trace-secs");
+    let optgap_secs = take_secs(&mut args, "--optgap-secs");
     let devices: Option<u64> = take_parsed(&mut args, "--devices");
-    let device_secs: Option<u64> = take_parsed(&mut args, "--device-secs");
+    let device_secs = take_secs(&mut args, "--device-secs");
     let fidelity: Option<sim_core::SimFidelity> =
         take_value_flag(&mut args, "--fidelity").map(|v| {
             sim_core::SimFidelity::parse(&v).unwrap_or_else(|| {

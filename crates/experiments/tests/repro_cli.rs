@@ -67,6 +67,27 @@ fn a_bad_flag_value_exits_2_naming_the_flag() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("bad {flag} value: ")), "{stderr}");
     }
+    // One second more than the simulated clock's microseconds can hold:
+    // rejected before anything runs, never wrapped into a short run.
+    let dir = results_dir("overflow");
+    let _ = std::fs::remove_dir_all(dir.join("sweep"));
+    for flag in [
+        "--sweep-secs",
+        "--trace-secs",
+        "--optgap-secs",
+        "--device-secs",
+    ] {
+        let out = repro()
+            .env("REPRO_RESULTS_DIR", &dir)
+            .args(["--no-cache", flag, "18446744073710", "sweep"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("bad {flag} value: ")), "{stderr}");
+        assert!(stderr.contains("18446744073709 s"), "{stderr}");
+        assert!(!dir.join("sweep").exists(), "{flag} wrote a sweep");
+    }
 }
 
 /// Reads the first top-level occurrence of `"key": value` from a

@@ -87,6 +87,15 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
+    /// Creates a span of `s` seconds, or `None` if its microsecond count
+    /// does not fit in a `u64` (more than 18,446,744,073,709 s).
+    pub const fn checked_from_secs(s: u64) -> Option<Self> {
+        match s.checked_mul(1_000_000) {
+            Some(us) => Some(SimDuration(us)),
+            None => None,
+        }
+    }
+
     /// Creates a span from a float second count, rounding to the nearest
     /// microsecond.
     ///
@@ -201,6 +210,13 @@ mod tests {
         assert_eq!(SimTime::from_secs(3).as_micros(), 3_000_000);
         assert_eq!(SimDuration::from_millis(10).as_micros(), 10_000);
         assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
+        let max = u64::MAX / 1_000_000;
+        assert_eq!(max, 18_446_744_073_709);
+        assert_eq!(
+            SimDuration::checked_from_secs(max),
+            Some(SimDuration::from_secs(max))
+        );
+        assert_eq!(SimDuration::checked_from_secs(max + 1), None);
     }
 
     #[test]
