@@ -16,9 +16,13 @@
 //! | `corrupt`   | cache record read   | one bit of the record is flipped    |
 //! | `truncate`  | cache record read   | the record is cut short             |
 //! | `write_err` | cache record write  | the write fails with an I/O error   |
-//! | `torn`      | journal append      | only a prefix of the record lands   |
+//! | `torn`      | journal append      | a prefix of the line lands, no `\n` |
 //! | `panic`     | job execution       | the worker panics mid-job           |
 //! | `stall`     | job execution       | the worker sleeps `stall_ms` mid-job|
+//!
+//! A `torn` append leaves the journal as a writer killed mid-`write(2)`
+//! would, and the record log treats both alike: the next append ends
+//! the torn line first, so a tear costs only its own record.
 //!
 //! `stall` is the odd one out: it injects *wall-clock* latency only, so
 //! every deterministic artifact is unchanged — its purpose is to give
@@ -352,8 +356,9 @@ impl FaultInjector {
         }
     }
 
-    /// Journal-append site: how many bytes of an `len`-byte record to
-    /// actually write, if this append should tear.
+    /// Journal-append site: how many bytes of a `len`-byte line (the
+    /// record and its newline) to actually write, if this append should
+    /// tear.
     pub fn journal_tear(&self, key: ContentKey, len: usize) -> Option<usize> {
         if self.inert || len == 0 {
             return None;

@@ -115,6 +115,7 @@ impl Journal {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use std::fs::OpenOptions;
     use std::io::Write;
 
     fn temp_state(tag: &str) -> PathBuf {
@@ -205,10 +206,7 @@ mod tests {
         drop(j);
         // Append garbage half-line as if the process died mid-write.
         let path = Journal::path_for(&dir, "sweep");
-        let mut f = fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .expect("open");
+        let mut f = OpenOptions::new().append(true).open(&path).expect("open");
         write!(f, "deadbeef").expect("tear");
         let replayed = Journal::replay(&dir, "sweep");
         assert_eq!(replayed.len(), 1);

@@ -9,10 +9,11 @@
 //! - [`Engine`] executes batches of specs on a worker pool (`--jobs`),
 //!   with results guaranteed bit-identical for 1 or N workers;
 //! - completed cells persist in a content-addressed cache under
-//!   `results/cache/`: one append-only log (`v3.log`) of CRC-framed
-//!   records, indexed in memory on first use, where a key's last record
-//!   wins. Re-running a sweep only simulates what changed;
-//! - a per-batch journal makes interrupted runs resumable (`--resume`)
+//!   `results/cache/`: one append-only record log (`v3.log`) of
+//!   CRC-framed records, indexed in memory on first use, where a key's
+//!   last record wins. Re-running a sweep only simulates what changed;
+//! - a per-batch journal, a record log of the same kind under
+//!   `results/state/`, makes interrupted runs resumable (`--resume`)
 //!   even when the cache is off;
 //! - every run counts what it did once, into the tallies that both its
 //!   `metrics.json` and the live page from [`render_prometheus`] read.
@@ -22,13 +23,13 @@
 //! skipping, or progress reporting.
 //!
 //! The engine is also hardened against the failures this state
-//! implies: cache records and journal records share one CRC framing.
-//! A damaged cache record is copied to `cache/quarantine/` and
-//! recomputed, never served; a torn journal or cache-log tail is
-//! skipped, never misparsed, and the next cache append ends it with a
-//! newline first so no later record is lost with it. A
-//! panicking job is retried and then reported as a [`JobFailure`]
-//! instead of killing the batch. A deterministic fault-injection
+//! implies: the cache and the journal share one record log, with one
+//! CRC framing. A damaged cache record is copied to `cache/quarantine/`
+//! and recomputed, never served; a torn record in either log is
+//! skipped, never misparsed, and the next append ends it with a newline
+//! first, so a torn record costs only itself. A panicking job is
+//! retried and then reported as a [`JobFailure`] instead of killing the
+//! batch. A deterministic fault-injection
 //! layer ([`fault`]) exercises all of it on demand — see
 //! `--fault-plan` on the `repro` binary.
 

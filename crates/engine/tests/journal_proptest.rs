@@ -125,7 +125,7 @@ proptest! {
         // before its newline is whole, so its CRC passes and it replays.
         let ends: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'\n').collect();
         prop_assert_eq!(ends.len(), records.len());
-        let expected: HashMap<ContentKey, String> = records
+        let mut expected: HashMap<ContentKey, String> = records
             .iter()
             .zip(&ends)
             .filter(|(_, &end)| end <= cut)
@@ -150,7 +150,6 @@ proptest! {
         let mut j = Journal::open(&dir, "prop").expect("reopen journal");
         j.record(key_from(extra), &result_from(extra)).expect("record after the cut");
         drop(j);
-        let mut expected = expected;
         expected.insert(key_from(extra), result_from(extra).encode());
         let replayed: HashMap<ContentKey, String> = Journal::replay(&dir, "prop")
             .into_iter()
