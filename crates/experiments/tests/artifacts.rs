@@ -2,11 +2,15 @@
 //!
 //! The test runs `repro --no-cache all`, `repro trace` and a
 //! 2,000-device `repro fleet` at each fidelity into temporary results
-//! directories, hashes every file they write except `metrics.json`
-//! (its wall-clock fields move run to run) and compares the list with
+//! directories, hashes every file they write and compares the list with
 //! `tests/fixtures/artifacts.txt`: one `<path> <FNV-1a 64 hex>` line
 //! per file, sorted by path. A byte that moves anywhere in the tree
 //! fails the test and names the file.
+//!
+//! A `metrics.json` is hashed with each value that measures wall-clock
+//! time, the host or its memory replaced by `_` ([`VOLATILE`]): its keys,
+//! their order and every count it reports stay pinned, while a run's
+//! timing does not move the digest.
 //!
 //! The digest is written here rather than borrowed from the engine, so
 //! that a change to the engine's hashing cannot move the fixture. To
@@ -31,6 +35,51 @@ const RUNS: [(&str, &[&str]); 4] = [
         &["fleet", "--devices", "2000", "--fidelity", "full"],
     ),
 ];
+
+/// `metrics.json` keys whose values are wall-clock time (rates, latencies,
+/// profiler stages) or the host's memory, and so move run to run.
+const VOLATILE: [&str; 10] = [
+    "jobs_per_sec",
+    "sim_per_wall",
+    "wall_us",
+    "peak_rss_bytes",
+    "job_latency_p50_us",
+    "job_latency_p90_us",
+    "job_latency_p99_us",
+    "job_latency_max_us",
+    "total_us",
+    "share",
+];
+
+/// `json` with the value of every [`VOLATILE`] key replaced by `_`; keys,
+/// their order and every other value are kept as written. A string
+/// runs to its first unescaped quote, and a masked value to the next
+/// `,`, `}` or line end.
+fn mask_volatile(json: &str) -> String {
+    let mut out = String::with_capacity(json.len());
+    let mut rest = json;
+    while let Some(open) = rest.find('"') {
+        let body = &rest[open + 1..];
+        let mut escaped = false;
+        let close = body
+            .find(|c| {
+                let end = c == '"' && !escaped;
+                escaped = c == '\\' && !escaped;
+                end
+            })
+            .expect("every string in metrics.json is closed");
+        let (string, tail) = rest.split_at(open + close + 2);
+        out.push_str(string);
+        rest = tail;
+        let key = &body[..close];
+        if let Some(value) = tail.strip_prefix(": ").filter(|_| VOLATILE.contains(&key)) {
+            out.push_str(": _");
+            rest = &value[value.find([',', '}', '\n']).unwrap_or(value.len())..];
+        }
+    }
+    out.push_str(rest);
+    out
+}
 
 /// FNV-1a 64.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -72,15 +121,43 @@ fn digests() -> BTreeMap<String, String> {
     files(&root, &root, &mut paths);
     let digests = paths
         .into_iter()
-        .filter(|p| p.file_name().is_some_and(|n| n != "metrics.json"))
         .map(|p| {
-            let bytes = std::fs::read(root.join(&p)).expect("artifact is readable");
+            let mut bytes = std::fs::read(root.join(&p)).expect("artifact is readable");
+            if p.file_name().is_some_and(|n| n == "metrics.json") {
+                let json = String::from_utf8(bytes).expect("metrics.json is UTF-8");
+                bytes = mask_volatile(&json).into_bytes();
+            }
             let name = p.to_str().expect("UTF-8 path").replace('\\', "/");
             (name, format!("{:016x}", fnv1a64(&bytes)))
         })
         .collect();
     let _ = std::fs::remove_dir_all(&root);
     digests
+}
+
+#[test]
+fn masking_keeps_keys_and_counts_but_not_timings() {
+    let json = "{\n  \"batch\": \"sweep\",\n  \"total\": 50,\n  \"wall_us\": 9136,\n  \
+                \"job_latency_p50_us\": 155.551662,\n  \"stages\": [\n    \
+                {\"stage\": \"a \\\"b\\\"\", \"total_us\": 12, \"share\": 0.500000}\n  ],\n  \
+                \"per_policy\": [\n    {\"policy\": \"PAST\", \"cells\": 2}\n  ]\n}\n";
+    let masked = mask_volatile(json);
+    assert_eq!(
+        masked,
+        "{\n  \"batch\": \"sweep\",\n  \"total\": 50,\n  \"wall_us\": _,\n  \
+         \"job_latency_p50_us\": _,\n  \"stages\": [\n    \
+         {\"stage\": \"a \\\"b\\\"\", \"total_us\": _, \"share\": _}\n  ],\n  \
+         \"per_policy\": [\n    {\"policy\": \"PAST\", \"cells\": 2}\n  ]\n}\n"
+    );
+    let retimed = json.replace("9136", "77").replace("155.551662", "1.0");
+    assert_eq!(mask_volatile(&retimed), masked, "a timing moves no digest");
+    let recounted = json.replace("\"cells\": 2", "\"cells\": 3");
+    assert_ne!(mask_volatile(&recounted), masked, "a count does");
+    let reordered = json.replace(
+        "\"batch\": \"sweep\",\n  \"total\": 50,",
+        "\"total\": 50,\n  \"batch\": \"sweep\",",
+    );
+    assert_ne!(mask_volatile(&reordered), masked, "and so does key order");
 }
 
 #[test]
