@@ -312,7 +312,7 @@ impl Engine {
             let key = {
                 let _s = obs::span::enter("content_key");
                 canonical.clear();
-                let _ = spec.write_canonical(&mut canonical);
+                spec.write_canonical(&mut canonical);
                 ContentKey::of(&canonical)
             };
             let hit = journaled.get(&key).copied().inspect(|r| {
@@ -390,7 +390,7 @@ impl Engine {
                         if let Some(cache) = &cache {
                             let _s = obs::span::enter("cache_write");
                             canonical.clear();
-                            let _ = specs[i].write_canonical(&mut canonical);
+                            specs[i].write_canonical(&mut canonical);
                             if let Err(e) = cache.store_keyed(key, &canonical, &result, &faults) {
                                 obs::warn!("engine: cache write failed for {key}: {e}");
                             }

@@ -7,13 +7,12 @@
 //! produce bit-identical [`JobResult`]s — the invariant behind both the
 //! on-disk cache and the 1-vs-N-worker determinism guarantee.
 
-use core::fmt::{self, Write};
-
 use itsy_hw::{
     battery::BatteryParams, Battery, ClockTable, DeviceSet, PowerModel, PowerParams, StepIndex,
 };
 use kernel_sim::{Kernel, KernelConfig, Machine, WindowSample};
 use policies::PolicyDesc;
+use sim_core::digits::push_decimal;
 use sim_core::{SimDuration, SimFidelity};
 use workloads::{
     web::Browser, Benchmark, JavaPoller, MpegConfig, MpegWorkload, SquareWave, WebWorkload,
@@ -84,18 +83,30 @@ impl WorkloadSpec {
     /// Stable canonical tag for content addressing.
     pub fn canonical(&self) -> String {
         let mut out = String::new();
-        let _ = self.write_canonical(&mut out);
+        self.write_canonical(&mut out);
         out
     }
 
-    /// Writes [`canonical`](Self::canonical)'s tag into `out`.
-    fn write_canonical(&self, out: &mut impl Write) -> fmt::Result {
-        match self {
-            WorkloadSpec::Benchmark(b) => write!(out, "bench:{}", b.name()),
-            WorkloadSpec::WebBrowse { poller } => write!(out, "web_browse:poller={poller}"),
-            WorkloadSpec::MpegElastic => out.write_str("mpeg_elastic"),
+    /// Appends [`canonical`](Self::canonical)'s tag to `out`.
+    fn write_canonical(&self, out: &mut String) {
+        match *self {
+            WorkloadSpec::Benchmark(b) => {
+                out.push_str("bench:");
+                out.push_str(b.name());
+            }
+            WorkloadSpec::WebBrowse { poller } => {
+                out.push_str(if poller {
+                    "web_browse:poller=true"
+                } else {
+                    "web_browse:poller=false"
+                });
+            }
+            WorkloadSpec::MpegElastic => out.push_str("mpeg_elastic"),
             WorkloadSpec::SquareWave { busy, idle } => {
-                write!(out, "square:busy={busy},idle={idle}")
+                out.push_str("square:busy=");
+                push_decimal(out, busy);
+                out.push_str(",idle=");
+                push_decimal(out, idle);
             }
         }
     }
@@ -146,17 +157,19 @@ impl HwSpec {
     /// Stable canonical tag for content addressing.
     pub fn canonical(&self) -> String {
         let mut out = String::new();
-        let _ = self.write_canonical(&mut out);
+        self.write_canonical(&mut out);
         out
     }
 
-    /// Writes [`canonical`](Self::canonical)'s tag into `out`.
-    fn write_canonical(&self, out: &mut impl Write) -> fmt::Result {
-        write!(
-            out,
-            "{},{},{},{}",
-            self.core_ppm, self.base_ppm, self.battery_mwh, self.charge_pct
-        )
+    /// Appends [`canonical`](Self::canonical)'s tag to `out`.
+    fn write_canonical(&self, out: &mut String) {
+        push_decimal(out, self.core_ppm.into());
+        out.push(',');
+        push_decimal(out, self.base_ppm.into());
+        out.push(',');
+        push_decimal(out, self.battery_mwh.into());
+        out.push(',');
+        push_decimal(out, self.charge_pct.into());
     }
 
     /// The power model this hardware exhibits.
@@ -257,37 +270,42 @@ impl JobSpec {
     /// field, so the two fidelities can never collide in the cache.
     pub fn canonical(&self) -> String {
         let mut out = String::with_capacity(CANONICAL_CAPACITY);
-        let _ = self.write_canonical(&mut out);
+        self.write_canonical(&mut out);
         out
     }
 
-    /// Writes [`canonical`](Self::canonical)'s encoding into `out`: one
+    /// Appends [`canonical`](Self::canonical)'s encoding to `out`: one
     /// buffer for the whole string, which a caller keying many specs can
-    /// clear and reuse.
-    pub(crate) fn write_canonical(&self, out: &mut impl Write) -> fmt::Result {
+    /// clear and reuse. Digits are appended directly, not through
+    /// `write!`.
+    pub(crate) fn write_canonical(&self, out: &mut String) {
         let version = if self.fidelity.is_summary() {
             SUMMARY_SIM_VERSION
         } else {
             SIM_VERSION
         };
-        write!(out, "v{version};wl=")?;
-        self.workload.write_canonical(out)?;
-        out.write_str(";policy=")?;
-        self.policy.write_canonical(out)?;
-        write!(
-            out,
-            ";dur_us={};quantum_us={};step={};seed={};tol_us={};hw=",
-            self.duration.as_micros(),
-            self.quantum.map_or(0, |q| q.as_micros()),
-            self.initial_step,
-            self.seed,
-            self.tolerance.as_micros(),
-        )?;
-        self.hw.write_canonical(out)?;
+        out.push('v');
+        push_decimal(out, version.into());
+        out.push_str(";wl=");
+        self.workload.write_canonical(out);
+        out.push_str(";policy=");
+        self.policy.write_canonical(out);
+        out.push_str(";dur_us=");
+        push_decimal(out, self.duration.as_micros());
+        out.push_str(";quantum_us=");
+        push_decimal(out, self.quantum.map_or(0, |q| q.as_micros()));
+        out.push_str(";step=");
+        push_decimal(out, self.initial_step as u64);
+        out.push_str(";seed=");
+        push_decimal(out, self.seed);
+        out.push_str(";tol_us=");
+        push_decimal(out, self.tolerance.as_micros());
+        out.push_str(";hw=");
+        self.hw.write_canonical(out);
         if self.fidelity.is_summary() {
-            write!(out, ";fid={}", self.fidelity.tag())?;
+            out.push_str(";fid=");
+            out.push_str(self.fidelity.tag());
         }
-        Ok(())
     }
 
     /// The spec's content address.

@@ -16,6 +16,7 @@
 //! simulations constructed with the same configuration and seed produce
 //! bit-identical results; wall-clock time never enters the simulation.
 
+pub mod digits;
 pub mod fidelity;
 pub mod histogram;
 pub mod log_histogram;
