@@ -58,11 +58,12 @@ impl Journal {
     }
 
     /// Opens the journal for appending, creating the state directory;
-    /// the file itself is created by the first record.
+    /// the file itself is created by the first record. Only its last
+    /// byte is read, to learn whether a killed writer left it mid-line.
     pub fn open(state_dir: &Path, batch: &str) -> io::Result<Self> {
         fs::create_dir_all(state_dir)?;
         Ok(Journal {
-            log: Log::open(Self::path_for(state_dir, batch)),
+            log: Log::open_append(Self::path_for(state_dir, batch)),
         })
     }
 
@@ -71,18 +72,18 @@ impl Journal {
     /// a torn tail from a killed run, a torn append, any CRC mismatch —
     /// is skipped; everything served was fully written.
     pub fn replay(state_dir: &Path, batch: &str) -> HashMap<ContentKey, JobResult> {
-        let log = Log::open(Self::path_for(state_dir, batch));
-        log.index
-            .iter()
-            .filter_map(|(&key, &at)| {
+        let mut log = Log::open(Self::path_for(state_dir, batch));
+        std::mem::take(&mut log.index)
+            .into_iter()
+            .filter_map(|(key, at)| {
                 let bytes = log.read(at).ok()?;
-                Some((key, JobResult::decode(frame::unframe(&bytes)?.1)?))
+                Some((key, JobResult::decode(frame::unframe(bytes)?.1)?))
             })
             .collect()
     }
 
     /// Appends one completed job with one unbuffered write, so the
-    /// record survives a kill immediately after.
+    /// record survives a kill immediately after; nothing else is done.
     pub fn record(&mut self, key: ContentKey, result: &JobResult) -> io::Result<()> {
         self.record_with(key, result, &FaultInjector::inert())
     }

@@ -12,6 +12,8 @@
 //! process runs — the property the on-disk cache depends on.
 
 use core::fmt;
+use core::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
 
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
@@ -54,10 +56,49 @@ impl ContentKey {
 
     /// Parses the hex form produced by `Display`.
     pub fn parse(s: &str) -> Option<Self> {
-        if s.len() != 32 {
+        Self::from_hex(s.as_bytes())
+    }
+
+    /// Parses 32 bytes of hex where they lie, accepting exactly what
+    /// `u128::from_str_radix(_, 16)` accepts at that length: hex digits
+    /// of either case, the first of which may be a `+` instead.
+    pub(crate) fn from_hex(hex: &[u8]) -> Option<Self> {
+        if hex.len() != 32 {
             return None;
         }
-        u128::from_str_radix(s, 16).ok().map(ContentKey)
+        let digits = hex.strip_prefix(b"+").unwrap_or(hex);
+        digits
+            .iter()
+            .try_fold(0u128, |key, &b| {
+                Some(key << 4 | u128::from(char::from(b).to_digit(16)?))
+            })
+            .map(ContentKey)
+    }
+}
+
+/// A map keyed by content key under [`KeyHasher`].
+pub(crate) type KeyMap<V> = HashMap<ContentKey, V, BuildHasherDefault<KeyHasher>>;
+
+/// Hashes a [`ContentKey`] to its low 64 bits. The key is already an
+/// FNV-1a hash of a string the program wrote, so hashing it again would
+/// only spend time; on the paper's 796-cell grid its low bits fill a
+/// map's buckets as evenly as random ones.
+#[derive(Debug, Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write_u128(&mut self, key: u128) {
+        self.0 = key as u64;
+    }
+
+    /// Bytes other than one key's (which `ContentKey`'s `Hash` never
+    /// writes) fold in by FNV-1a 64.
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv64_extend(self.0, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -86,6 +127,38 @@ mod tests {
         assert_eq!(s.len(), 32);
         assert_eq!(ContentKey::parse(&s), Some(k));
         assert_eq!(ContentKey::parse("nonsense"), None);
+    }
+
+    #[test]
+    fn parse_accepts_what_from_str_radix_accepts() {
+        let hex = "0123456789abcdefFEDCBA9876543210";
+        let cases = [
+            hex.to_string(),
+            hex.to_lowercase(),
+            format!("+{}", &hex[1..]),
+            format!("-{}", &hex[1..]),
+            format!("++{}", &hex[2..]),
+            format!("{}+", &hex[..31]),
+            format!("{}g", &hex[..31]),
+            format!("{} ", &hex[..31]),
+            format!("{}\u{e9}", &hex[..30]),
+            hex[..31].to_string(),
+            format!("{hex}0"),
+            String::new(),
+        ];
+        for s in cases {
+            let want = (s.len() == 32)
+                .then(|| u128::from_str_radix(&s, 16).ok())
+                .flatten();
+            assert_eq!(ContentKey::parse(&s), want.map(ContentKey), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn a_key_hashes_to_its_low_bits() {
+        let mut h = KeyHasher::default();
+        core::hash::Hash::hash(&ContentKey(0xdead_beef << 64 | 0x1234), &mut h);
+        assert_eq!(h.finish(), 0x1234);
     }
 
     #[test]
