@@ -8,8 +8,9 @@
 //! used 70 %/50 % bounds; the paper's best policy used 98 %/93 % with
 //! PAST prediction and peg-peg speed setting.
 
-use core::fmt;
+use core::fmt::{self, Write};
 
+use sim_core::digits::push_decimal;
 use sim_core::{SimTime, Voltage};
 
 use itsy_hw::clock::{V_HIGH, V_LOW};
@@ -54,11 +55,37 @@ impl Hysteresis {
         assert!(self.down <= self.up, "hysteresis band inverted");
         self
     }
+
+    /// Appends the band as percentages, `>98%/<93%`, each as `{:.0}`
+    /// writes it; this is the band's `Display` and its part of a
+    /// policy's label.
+    pub(crate) fn write_label(&self, out: &mut String) {
+        out.push('>');
+        push_rounded(out, self.up * 100.0);
+        out.push_str("%/<");
+        push_rounded(out, self.down * 100.0);
+        out.push('%');
+    }
 }
 
 impl fmt::Display for Hysteresis {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, ">{:.0}%/<{:.0}%", self.up * 100.0, self.down * 100.0)
+        let mut label = String::new();
+        self.write_label(&mut label);
+        f.write_str(&label)
+    }
+}
+
+/// Appends `x` as `{:.0}` writes it. A whole number in `0..2⁶⁴`, such as
+/// every stock threshold's percentage, is its decimal digits; anything
+/// else (a fraction, which `{:.0}` rounds half to even, `-0`, NaN, ±∞
+/// or a larger magnitude) goes through `write!`.
+pub(crate) fn push_rounded(out: &mut String, x: f64) {
+    const TWO_64: f64 = 18_446_744_073_709_551_616.0;
+    if x.fract() == 0.0 && x.is_sign_positive() && x < TWO_64 {
+        push_decimal(out, x as u64);
+    } else {
+        let _ = write!(out, "{x:.0}");
     }
 }
 
