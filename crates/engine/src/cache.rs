@@ -11,7 +11,10 @@
 //!
 //! A canonical spec never contains a tab. On first use a
 //! [`ResultCache`] opens the log, which indexes each key's *last*
-//! record, so a later store for a key supersedes every earlier one.
+//! record, so a later store for a key supersedes every earlier one. An
+//! [`Engine`](crate::Engine) holds its cache, index included, from one
+//! batch to the next; each batch first catches the index up with the
+//! file, which costs one `stat` when no other writer appended.
 //!
 //! **Probe.** A lookup is a hash lookup plus a read of the record, copied
 //! out of the log's read-ahead window while probes move forward through
@@ -38,7 +41,7 @@ use std::sync::{Mutex, PoisonError};
 
 use crate::fault::FaultInjector;
 use crate::frame::{self, Log};
-use crate::job::{JobResult, JobSpec};
+use crate::job::{JobResult, JobSpec, ENCODED_CAPACITY};
 use crate::key::ContentKey;
 
 /// The log's file name; the version is the format fence.
@@ -105,6 +108,16 @@ impl ResultCache {
     fn with_log<T>(&self, f: impl FnOnce(&mut Log) -> T) -> T {
         let mut log = self.log.lock().unwrap_or_else(PoisonError::into_inner);
         f(log.get_or_insert_with(|| Log::open(self.log_path())))
+    }
+
+    /// Brings an open log's index up to its file, so that it files
+    /// every record any writer appended since it last looked; a log not
+    /// yet open reads the whole file on first use anyway.
+    pub(crate) fn catch_up(&self) {
+        let mut log = self.log.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(log) = log.as_mut() {
+            log.catch_up();
+        }
     }
 
     /// Looks up a spec. Returns `None` on missing, damaged, or
@@ -202,7 +215,11 @@ impl ResultCache {
         }
         let record = {
             let _span = obs::span::enter("result_encode");
-            frame::frame(key, &format!("{canonical}\t{}", result.encode()))
+            let mut payload = String::with_capacity(canonical.len() + 1 + ENCODED_CAPACITY);
+            payload.push_str(canonical);
+            payload.push('\t');
+            result.write_encoded(&mut payload);
+            frame::frame(key, &payload)
         };
         self.with_log(|log| log.append(key, record, |_| None))
     }
@@ -234,13 +251,18 @@ fn parse(bytes: &[u8], canonical: &str) -> Option<CacheProbe> {
     // not be UTF-8 (a flipped bit can land in a continuation byte); one
     // whose CRC passes but that is not UTF-8 is damaged too.
     let (_, payload) = frame::unframe(bytes)?;
-    let (stored_spec, encoded) = payload.split_once('\t')?;
-    if stored_spec != canonical {
-        return Some(CacheProbe::Miss);
+    // The stored spec is compared where it lies. Only a mismatch looks
+    // for the tab, to tell a healthy record for another spec (a miss)
+    // from a record without one (damaged).
+    match payload
+        .strip_prefix(canonical)
+        .and_then(|p| p.strip_prefix('\t'))
+    {
+        // A record whose CRC passes but that does not decode is a writer
+        // bug or a format change: quarantined, not served.
+        Some(encoded) => JobResult::decode(encoded).map(CacheProbe::Hit),
+        None => payload.contains('\t').then_some(CacheProbe::Miss),
     }
-    // A record whose CRC passes but that does not decode is a writer bug
-    // or a format change: quarantined, not served.
-    JobResult::decode(encoded).map(CacheProbe::Hit)
 }
 
 #[cfg(test)]

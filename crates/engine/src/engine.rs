@@ -5,7 +5,9 @@
 //! cell before a simulator runs:
 //!
 //! 1. the batch journal (when resuming an interrupted run),
-//! 2. the content-addressed cache (unless disabled),
+//! 2. the content-addressed cache (unless disabled), which the engine
+//!    holds with its log's index from one batch to the next, catching
+//!    the index up with the file at each batch's start,
 //! 3. the worker pool, which simulates whatever is left.
 //!
 //! Results land in a slot vector indexed by submission order, so output
@@ -36,6 +38,7 @@
 //! a fault-free run.
 
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use obs::RunMetrics;
@@ -220,9 +223,20 @@ impl BatchOutcome {
 }
 
 /// The parallel, cache-aware experiment executor.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Engine {
     config: EngineConfig,
+    /// The result cache of the last batch's cache directory, held with
+    /// its log's index, window and buffers from one batch to the next.
+    cache: Mutex<Option<Arc<ResultCache>>>,
+}
+
+impl Clone for Engine {
+    /// An engine with the same configuration; its first batch opens its
+    /// own cache.
+    fn clone(&self) -> Self {
+        Engine::new(self.config.clone())
+    }
 }
 
 /// Best-effort text from a panic payload.
@@ -239,7 +253,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 impl Engine {
     /// An engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
-        Engine { config }
+        Engine {
+            config,
+            cache: Mutex::default(),
+        }
     }
 
     /// The configuration in force.
@@ -268,6 +285,21 @@ impl Engine {
         })
     }
 
+    /// The cache at `dir`: the one the last batch used if it was there,
+    /// its index caught up with the file, and a new one otherwise.
+    fn cache_at(&self, dir: PathBuf) -> Arc<ResultCache> {
+        // The slot holds a whole cache or none at every step, so a lock
+        // poisoned by a panicking batch is recovered.
+        let mut held = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        match held.as_ref().filter(|c| c.dir() == dir) {
+            Some(cache) => {
+                cache.catch_up();
+                Arc::clone(cache)
+            }
+            None => Arc::clone(held.insert(Arc::new(ResultCache::new(dir)))),
+        }
+    }
+
     /// Runs every spec, returning outcomes in spec order.
     ///
     /// `batch` names the journal, so interrupting this call and
@@ -281,10 +313,7 @@ impl Engine {
         let started = Instant::now();
         let root = self.state_root();
         let faults = FaultInjector::new(self.config.faults);
-        let cache = self
-            .config
-            .use_cache
-            .then(|| ResultCache::new(root.join("cache")));
+        let cache = (self.config.use_cache).then(|| self.cache_at(root.join("cache")));
         let state_dir = root.join("state");
 
         // Layer 1 + 2: satisfy cells from journal and cache up front.
@@ -585,6 +614,82 @@ mod tests {
         assert_eq!(warm.stats.executed, 0, "warm run must simulate nothing");
         assert_eq!(warm.stats.cache_hits, specs.len());
         assert_eq!(warm.results, cold.results, "cache round trip is bit-exact");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A cache-on engine over `root` at two workers.
+    fn cached(root: &std::path::Path) -> Engine {
+        Engine::new(EngineConfig {
+            jobs: 2,
+            use_cache: true,
+            state_root: Some(root.to_path_buf()),
+            ..EngineConfig::hermetic()
+        })
+    }
+
+    #[test]
+    fn a_held_cache_serves_what_another_writer_appended_between_batches() {
+        let root = temp_root("held-append");
+        let (engine, specs) = (cached(&root), grid());
+        assert_eq!(engine.run_batch("t", &specs[..2]).stats.executed, 2);
+        // Another cache over the same directory stores a third cell.
+        let stored = specs[2].execute();
+        ResultCache::new(root.join("cache"))
+            .store(&specs[2], &stored)
+            .expect("store");
+        let second = engine.run_batch("t", &specs[..3]);
+        assert_eq!(second.stats.cache_hits, 3);
+        assert_eq!(second.stats.executed, 0);
+        assert_eq!(second.results[2], Ok(stored));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_held_cache_recomputes_every_cell_once_its_directory_is_gone() {
+        let root = temp_root("held-gone");
+        let (engine, specs) = (cached(&root), grid());
+        let first = engine.run_batch("t", &specs);
+        std::fs::remove_dir_all(root.join("cache")).expect("delete the cache");
+        let second = engine.run_batch("t", &specs);
+        assert_eq!(second.stats.executed, specs.len());
+        assert_eq!(second.stats.cache_hits, 0);
+        assert_eq!(second.results, first.results);
+        // The log is back, with one record per cell, and serves them.
+        let log = ResultCache::new(root.join("cache")).log_path();
+        let lines = std::fs::read_to_string(log)
+            .expect("log recreated")
+            .lines()
+            .count();
+        assert_eq!(lines, specs.len());
+        assert_eq!(engine.run_batch("t", &specs).stats.cache_hits, specs.len());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_torn_tail_between_held_batches_costs_only_its_own_record() {
+        let root = temp_root("held-torn");
+        let (engine, specs) = (cached(&root), grid());
+        let reference = engine.run_batch("t", &specs[..3]);
+        // A writer killed mid-append leaves half of the fourth cell's
+        // record, without a newline.
+        let (spec, log) = (&specs[3], ResultCache::new(root.join("cache")).log_path());
+        let payload = format!("{}\t{}", spec.canonical(), spec.execute().encode());
+        let line = crate::frame::frame(spec.key(), &payload);
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&log)
+            .expect("open log");
+        std::io::Write::write_all(&mut file, &line.as_bytes()[..line.len() / 2]).expect("tear");
+        let second = engine.run_batch("t", &specs);
+        assert_eq!(second.stats.cache_hits, 3);
+        assert_eq!(second.stats.quarantined, 1, "the torn record was filed");
+        assert_eq!(second.stats.executed, 1);
+        assert_eq!(second.results[..3], reference.results[..]);
+        // The recomputed record did not join the torn line: a fresh
+        // cache serves every cell.
+        let fresh = ResultCache::new(root.join("cache"));
+        assert!(specs.iter().all(|s| fresh.load(s).is_some()));
+        assert_eq!(engine.run_batch("t", &specs).stats.cache_hits, specs.len());
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -19,12 +19,18 @@
 //! and skips a line whose key does not parse; the key is parsed where it
 //! lies, and the map does not hash it again ([`KeyMap`]). A record is
 //! read back into a buffer the log reuses and checked by the log's user.
-//! While reads move forward through the file, each starting where the
-//! last one ended, they are copied out of one read-ahead window of at
-//! most 16 KiB, which reuses the scan's buffer; any other read is one
-//! positioned read (`pread`). The file only grows, so the window always
-//! holds the file's bytes. A 64 KiB window read no faster over the
-//! paper's grid and held about 0.08 MB more at a warm batch's peak.
+//! While reads move forward through the file they are copied out of one
+//! read-ahead window of at most 16 KiB, which reuses the scan's buffer
+//! and is refilled from the offset of any forward read it does not hold;
+//! a read backwards is one positioned read (`pread`). The file only
+//! grows, so the window always holds the file's bytes. A 64 KiB window
+//! read no faster over the paper's grid and held about 0.08 MB more at a
+//! warm batch's peak.
+//!
+//! A log can be held open while other writers append to its file: a
+//! catch-up ([`Log::catch_up`]) costs one `stat` when nothing changed
+//! and scans only the new bytes when the file grew, so the index files
+//! every record any writer appended before it, as a fresh open would.
 //!
 //! An append is one `write_all` of one line, and the first one creates
 //! the file. A log opened only to append (a journal's writer) reads
@@ -38,7 +44,7 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, Write};
-use std::os::unix::fs::FileExt;
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 
 use sim_core::digits::push_hex16;
@@ -140,12 +146,20 @@ fn ends_mid_line(file: &File) -> bool {
     })
 }
 
+/// A file's device and inode.
+fn file_id(file: &File) -> (u64, u64) {
+    file.metadata().map_or((0, 0), |m| (m.dev(), m.ino()))
+}
+
 /// An open record log: its file and the index of its records.
 #[derive(Debug)]
 pub(crate) struct Log {
     path: PathBuf,
     /// `None` until the file exists.
     file: Option<File>,
+    /// The open file's device and inode, which tell it from a file that
+    /// has since replaced it at `path`.
+    id: (u64, u64),
     /// Each key's last record: its offset, and its length without the
     /// newline. A user may drop a key, so that its records are not found
     /// again. Empty, and never filled, in a log opened only to append.
@@ -154,14 +168,19 @@ pub(crate) struct Log {
     indexed: bool,
     /// Whether the file ends mid-line.
     torn: bool,
+    /// The file's length when the index last took in all of it.
+    len: u64,
+    /// The end of the file's last whole line at that time: a catch-up
+    /// scans from here.
+    scanned: u64,
     /// The file's bytes from offset `window_at` on, read ahead.
     window: Vec<u8>,
     window_at: u64,
-    /// The end of the last record read, its newline included: a read
-    /// that starts here moves forward through the file.
-    next: u64,
     /// The last record read, lent to the reader.
     record: Vec<u8>,
+    /// Reads served by a `pread` rather than the window.
+    #[cfg(test)]
+    preads: u64,
 }
 
 impl Log {
@@ -170,13 +189,17 @@ impl Log {
         Log {
             path,
             file: None,
+            id: (0, 0),
             index: KeyMap::default(),
             indexed,
             torn: false,
+            len: 0,
+            scanned: 0,
             window: Vec::new(),
             window_at: 0,
-            next: 0,
             record: Vec::new(),
+            #[cfg(test)]
+            preads: 0,
         }
     }
 
@@ -190,10 +213,11 @@ impl Log {
             .or_else(|_| File::open(&path))
             .ok();
         let mut log = Log::new(path, true);
-        if let Some(file) = &file {
-            log.scan(file);
+        if let Some(file) = file {
+            log.id = file_id(&file);
+            log.file = Some(file);
+            log.scan();
         }
-        log.file = file;
         log
     }
 
@@ -209,17 +233,44 @@ impl Log {
         }
     }
 
-    /// Indexes every line of `file`, scanned through the window's buffer
-    /// without copying a line out: each key is parsed where it lies, and
-    /// only the unfinished line at a buffer's end moves to its front. A
-    /// line longer than the buffer grows it. A last line without a
-    /// newline is filed too and leaves the log torn, and a read error
-    /// ends the scan as if the file ended there.
-    fn scan(&mut self, file: &File) {
+    /// Brings the index up to the file at its path with one `stat`, so
+    /// that it files every record appended since the log last looked,
+    /// by any writer. A file that grew after a whole line has only its
+    /// new bytes scanned. A file that is gone, is not the one the log
+    /// holds (by device and inode), is shorter than the log has seen it,
+    /// has appeared since, or grew while the log saw it end mid-line
+    /// (a writer that did not end the torn line may have changed its
+    /// key) is opened and indexed afresh. A key a user dropped stays
+    /// dropped unless the scanned bytes file it again. The window is
+    /// emptied, so that the reads after a catch-up move forward from the
+    /// first one.
+    pub(crate) fn catch_up(&mut self) {
+        self.window.clear();
+        self.window_at = 0;
+        let same = |m: &fs::Metadata| (m.dev(), m.ino()) == self.id;
+        match (fs::metadata(&self.path), &self.file) {
+            (Err(_), None) => {}
+            (Ok(m), Some(_)) if same(&m) && m.len() == self.len => {}
+            (Ok(m), Some(_)) if same(&m) && m.len() > self.len && self.scanned == self.len => {
+                self.scan()
+            }
+            _ => *self = Log::open(std::mem::take(&mut self.path)),
+        }
+    }
+
+    /// Indexes the file's lines from `scanned` on, read through the
+    /// window's buffer without copying a line out: each key is parsed
+    /// where it lies, and only the unfinished line at a buffer's end
+    /// moves to its front. A line longer than the buffer grows it. A
+    /// last line without a newline is filed too and leaves the log torn,
+    /// and a read error ends the scan as if the file ended there. The
+    /// window holds nothing afterwards.
+    fn scan(&mut self) {
+        let Some(file) = self.file.take() else { return };
         let mut buf = std::mem::take(&mut self.window);
         buf.resize(WINDOW, 0);
-        let (mut filled, mut buf_at) = (0, 0u64);
-        while let n @ 1.. = fill_at(file, &mut buf[filled..], buf_at + filled as u64) {
+        let (mut filled, mut buf_at) = (0, self.scanned);
+        while let n @ 1.. = fill_at(&file, &mut buf[filled..], buf_at + filled as u64) {
             filled += n;
             let mut start = 0;
             while let Some(end) = find_newline(&buf[start..filled]).map(|i| start + i) {
@@ -234,10 +285,11 @@ impl Log {
         }
         if filled > 0 {
             self.file_line(&buf[..filled], buf_at);
-            self.torn = true;
         }
+        (self.scanned, self.len, self.torn) = (buf_at, buf_at + filled as u64, filled > 0);
         buf.clear();
         self.window = buf;
+        self.file = Some(file);
     }
 
     /// Files a line at `at` under its key, if it has one.
@@ -254,13 +306,14 @@ impl Log {
 
     /// The record at `at` of `len` bytes, in a buffer the log lends
     /// until the next read; the bytes are those one `pread` would return.
-    /// A read that starts where the last one ended and is not in the
-    /// window first refills it from `at`; a read the window then holds
-    /// is copied out of it, and any other is one `pread`.
+    /// A read that starts at or after the window's start, is not in the
+    /// window and fits in one first refills the window from `at`; a read
+    /// the window then holds is copied out of it, and any other (a read
+    /// backwards, or a record longer than the window) is one `pread`.
     pub(crate) fn read(&mut self, (at, len): (u64, usize)) -> io::Result<&mut Vec<u8>> {
         let file = self.file.as_ref().ok_or(io::ErrorKind::NotFound)?;
         let end = at + len as u64;
-        if !self.in_window(at, end) && at == self.next && len <= WINDOW {
+        if !self.in_window(at, end) && at >= self.window_at && len <= WINDOW {
             self.window.resize(WINDOW, 0);
             let filled = fill_at(file, &mut self.window, at);
             self.window.truncate(filled);
@@ -272,10 +325,13 @@ impl Log {
             self.record
                 .extend_from_slice(&self.window[from..from + len]);
         } else {
+            #[cfg(test)]
+            {
+                self.preads += 1;
+            }
             self.record.resize(len, 0);
             file.read_exact_at(&mut self.record, at)?;
         }
-        self.next = end + 1;
         Ok(&mut self.record)
     }
 
@@ -297,19 +353,19 @@ impl Log {
         record: String,
         tear: impl FnOnce(usize) -> Option<usize>,
     ) -> io::Result<()> {
-        let file = match &mut self.file {
-            Some(file) => file,
+        let file = match self.file {
+            Some(ref mut file) => file,
             None => {
                 if let Some(dir) = self.path.parent() {
                     fs::create_dir_all(dir)?;
                 }
-                self.file.insert(
-                    OpenOptions::new()
-                        .create(true)
-                        .read(true)
-                        .append(true)
-                        .open(&self.path)?,
-                )
+                let file = OpenOptions::new()
+                    .create(true)
+                    .read(true)
+                    .append(true)
+                    .open(&self.path)?;
+                self.id = file_id(&file);
+                self.file.insert(file)
             }
         };
         let len = record.len();
@@ -331,9 +387,14 @@ impl Log {
         self.torn = false;
         if self.indexed {
             // Appends land at the end, so the position after the write
-            // is the end of this record's line.
+            // is the end of this record's line. If the line began where
+            // the log last saw the file end, no other writer came between,
+            // and the index holds every line up to here.
             let end = file.stream_position()?;
             self.index.insert(key, (end - 1 - len as u64, len));
+            if end - line.len() as u64 == self.len {
+                (self.scanned, self.len) = (end, end);
+            }
         }
         Ok(())
     }
@@ -490,6 +551,110 @@ mod tests {
             }
             let _ = fs::remove_dir_all(path.parent().expect("in a directory"));
         }
+    }
+
+    /// The index a fresh open of `path` builds.
+    fn fresh_index(path: &Path) -> HashMap<ContentKey, (u64, usize)> {
+        Log::open(path.to_path_buf()).index.into_iter().collect()
+    }
+
+    proptest! {
+        /// Other writers append, tear, replace, cut and delete the file
+        /// between the held log's catch-ups, as other caches and
+        /// processes do between an engine's batches; the held log's own
+        /// appends follow a catch-up, as a batch's do. After every
+        /// catch-up the held index is the one a fresh open builds.
+        #[test]
+        fn a_caught_up_log_indexes_what_a_fresh_open_does(
+            lines in proptest::collection::vec(any::<u64>(), 0..30),
+            torn in any::<bool>(),
+            ops in proptest::collection::vec(any::<u64>(), 1..16),
+        ) {
+            let path = temp_log();
+            write_log(&path, &lines, torn);
+            let mut held = Log::open(path.clone());
+            for &op in &ops {
+                let (key, line) = record(op);
+                let tear = |len: usize| Some(mix(op) as usize % len);
+                match op % 9 {
+                    // The held log's own appends, whole and torn.
+                    0 | 1 => {
+                        held.catch_up();
+                        let tear = |len| if op % 9 == 1 { tear(len) } else { None };
+                        held.append(key, line, tear).expect("append");
+                    }
+                    // Another writer's, whole and torn, through its own log.
+                    2 => Log::open_append(path.clone()).append(key, line, |_| None).expect("append"),
+                    3 => Log::open_append(path.clone()).append(key, line, tear).expect("torn append"),
+                    // A writer killed mid-line that writes no repair newline.
+                    4 => {
+                        fs::create_dir_all(path.parent().expect("in a directory")).expect("log dir");
+                        let mut file = OpenOptions::new().create(true).append(true).open(&path).expect("open");
+                        file.write_all(&line.as_bytes()[..line.len() / 3]).expect("write");
+                    }
+                    // A new file in the log's place.
+                    5 => {
+                        let fresh = path.with_extension("new");
+                        write_log(&fresh, &[op, op ^ 1], op & 256 != 0);
+                        let _ = fs::rename(&fresh, &path);
+                    }
+                    // The file cut shorter, and caught up with at once: a
+                    // cut that regrows past its old end before a catch-up
+                    // cannot be told from an append.
+                    6 => {
+                        if let Ok(m) = fs::metadata(&path) {
+                            let file = OpenOptions::new().write(true).open(&path).expect("open");
+                            file.set_len(mix(op) % (m.len() + 1)).expect("truncate");
+                        }
+                        held.catch_up();
+                    }
+                    7 => {
+                        let _ = fs::remove_file(&path);
+                    }
+                    _ => held.catch_up(),
+                }
+                if matches!(op % 9, 6 | 8) {
+                    let index: HashMap<_, _> = held.index.iter().map(|(&k, &v)| (k, v)).collect();
+                    prop_assert_eq!(index, fresh_index(&path));
+                }
+            }
+            held.catch_up();
+            let index: HashMap<_, _> = held.index.iter().map(|(&k, &v)| (k, v)).collect();
+            prop_assert_eq!(&index, &fresh_index(&path));
+            // A held log may count a tear that landed no byte as torn:
+            // that costs a spare newline, while a missed tear would cost
+            // the next record.
+            prop_assert!(held.torn || !Log::open(path.clone()).torn, "missed a torn tail");
+            for (_, at) in index {
+                let got = held.read(at).ok().cloned();
+                prop_assert!(got == fresh_pread(&path, at.0, at.1), "read at {} differs", at.0);
+            }
+            let _ = fs::remove_dir_all(path.parent().expect("in a directory"));
+        }
+    }
+
+    #[test]
+    fn a_forward_read_past_the_window_refills_it() {
+        let path = temp_log();
+        let mut writer = Log::open(path.clone());
+        for i in 0..3 {
+            let key = ContentKey(i);
+            writer
+                .append(key, frame(key, &"x".repeat(6_000)), |_| None)
+                .expect("append");
+        }
+        let mut log = Log::open(path.clone());
+        let at = |i| log.index[&ContentKey(i)];
+        let (first, second, third) = (at(0), at(1), at(2));
+        for (at, preads) in [(first, 0), (third, 0), (second, 1)] {
+            // The third record straddles the end of the window the first
+            // read filled, and skipping the second does not make it a
+            // `pread`; the second is then behind the window.
+            let got = log.read(at).expect("read").clone();
+            assert_eq!(Some(got), fresh_pread(&path, at.0, at.1));
+            assert_eq!(log.preads, preads, "reads up to offset {}", at.0);
+        }
+        let _ = fs::remove_dir_all(path.parent().expect("in a directory"));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use itsy_hw::{
 };
 use kernel_sim::{Kernel, KernelConfig, Machine, WindowSample};
 use policies::PolicyDesc;
-use sim_core::digits::push_decimal;
+use sim_core::digits::{push_decimal, push_hex16};
 use sim_core::{SimDuration, SimFidelity};
 use workloads::{
     web::Browser, Benchmark, JavaPoller, MpegConfig, MpegWorkload, SquareWave, WebWorkload,
@@ -358,13 +358,15 @@ impl JobSpec {
         timeline_windows: u32,
     ) -> (JobResult, obs::Trace, Vec<WindowSample>) {
         let _span = obs::span::enter("simulate");
-        // No result field reads a series, the power trace or the
-        // scheduler log, so the kernel records none of them: the means
-        // come from its running sums, and a job's memory stays flat in
+        // No result field reads a series, the power trace, the
+        // scheduler log or a deadline record, so the kernel records none
+        // of them: the means come from its running sums, the deadline
+        // results from its counters, and a job's memory stays flat in
         // its simulated length.
         let mut config = KernelConfig {
             duration: self.duration,
             record: false,
+            deadline_tolerance: self.tolerance,
             trace,
             reference,
             fidelity: self.fidelity,
@@ -384,50 +386,27 @@ impl JobSpec {
         let mut kernel = Kernel::new(machine, config);
         self.workload.spawn_into(&mut kernel, self.seed);
         kernel.install_policy(self.policy.build(ClockTable::sa1100()));
-        let mut report = kernel.run();
+        let report = kernel.run();
 
-        let frames_shown = report
-            .deadlines
-            .records()
-            .iter()
-            .filter(|d| d.label == "frame")
-            .count() as u64;
-        let frames_dropped = report
-            .deadlines
-            .records()
-            .iter()
-            .filter(|d| d.label == "frame_dropped")
-            .count() as u64;
+        // The deadline log counted at the spec's tolerance, and the
+        // kernel filled the timeline's misses from the same counts.
+        let deadlines = &report.deadlines;
         let result = JobResult {
             energy_j: report.energy.as_joules(),
             core_energy_j: report.core_energy.as_joules(),
             mean_freq_mhz: report.mean_freq_mhz(),
             mean_utilization: report.mean_utilization(),
-            misses: report.deadlines.misses(self.tolerance) as u64,
-            max_lateness_us: report.deadlines.max_lateness().as_micros(),
+            misses: deadlines.misses(self.tolerance) as u64,
+            max_lateness_us: deadlines.max_lateness().as_micros(),
             clock_switches: report.clock_switches,
             voltage_switches: report.voltage_switches,
             final_step: report.final_step as u64,
-            frames_shown,
-            frames_dropped,
+            frames_shown: deadlines.completions_of("frame"),
+            frames_dropped: deadlines.completions_of("frame_dropped"),
             sched_dropped: report.sched_log.dropped(),
             battery_remaining: report.battery_remaining.unwrap_or(-1.0),
         };
-        // The kernel buckets energy and busy time but leaves deadline
-        // misses to us: only the spec knows its tolerance. A miss lands
-        // in the window its deadline *completed* in.
-        let mut timeline = std::mem::take(&mut report.timeline);
-        if !timeline.is_empty() {
-            let win_us = (timeline[0].end_us - timeline[0].start_us).max(1);
-            let last = timeline.len() - 1;
-            for d in report.deadlines.records() {
-                if !d.met(self.tolerance) {
-                    let slot = ((d.completed_us / win_us) as usize).min(last);
-                    timeline[slot].misses += 1;
-                }
-            }
-        }
-        (result, report.trace, timeline)
+        (result, report.trace, report.timeline)
     }
 }
 
@@ -487,17 +466,91 @@ pub struct JobResult {
     pub battery_remaining: f64,
 }
 
+/// How a result field's value is spelled.
+#[derive(Clone, Copy)]
+enum Spelling {
+    /// A float's bits as `{:016x}` writes them: exactly 16 lowercase
+    /// hex digits.
+    Bits,
+    /// An integer as `{}` writes it: decimal digits, no sign and no
+    /// leading zero.
+    Decimal,
+}
+
+/// The encoded fields in order: the text before each value (the `;`
+/// that ends the field before it, the field's name and its `=`), and how
+/// the value is spelled. [`JobResult::encode`] writes from this table
+/// and [`JobResult::decode`] reads by it, so the two cannot drift apart;
+/// [`JobResult::words`] lists the values in the same order.
+const FIELDS: [(&str, Spelling); 13] = [
+    ("energy_j=", Spelling::Bits),
+    (";core_energy_j=", Spelling::Bits),
+    (";mean_freq_mhz=", Spelling::Bits),
+    (";mean_utilization=", Spelling::Bits),
+    (";misses=", Spelling::Decimal),
+    (";max_lateness_us=", Spelling::Decimal),
+    (";clock_switches=", Spelling::Decimal),
+    (";voltage_switches=", Spelling::Decimal),
+    (";final_step=", Spelling::Decimal),
+    (";frames_shown=", Spelling::Decimal),
+    (";frames_dropped=", Spelling::Decimal),
+    (";sched_dropped=", Spelling::Decimal),
+    (";battery_remaining=", Spelling::Bits),
+];
+
+/// Bytes in the longest encoded result, every integer at 20 digits.
+pub(crate) const ENCODED_CAPACITY: usize = 432;
+
 impl JobResult {
     /// Encodes as stable `key=value` pairs. Floats are `to_bits()` hex
     /// so a cache round trip is bit-exact — decimal formatting would
     /// make warm-cache output differ from cold-run output in the last
     /// ulp.
     pub fn encode(&self) -> String {
-        format!(
-            "energy_j={:016x};core_energy_j={:016x};mean_freq_mhz={:016x};\
-             mean_utilization={:016x};misses={};max_lateness_us={};clock_switches={};\
-             voltage_switches={};final_step={};frames_shown={};frames_dropped={};\
-             sched_dropped={};battery_remaining={:016x}",
+        let mut out = String::with_capacity(ENCODED_CAPACITY);
+        self.write_encoded(&mut out);
+        out
+    }
+
+    /// Appends [`encode`](Self::encode)'s text to `out`, digits and hex
+    /// directly rather than through `write!`.
+    pub(crate) fn write_encoded(&self, out: &mut String) {
+        for (&(before, spelling), word) in FIELDS.iter().zip(self.words()) {
+            out.push_str(before);
+            match spelling {
+                Spelling::Bits => push_hex16(out, word),
+                Spelling::Decimal => push_decimal(out, word),
+            }
+        }
+    }
+
+    /// Decodes [`JobResult::encode`] output, strictly and in order: the
+    /// 13 fields must come in `encode`'s order, each once, each value
+    /// spelled as `encode` spells it (16 lowercase hex digits for a
+    /// float's bits, decimal without sign or leading zero for an
+    /// integer), and nothing may follow the last. Anything else — a
+    /// missing, reordered, duplicated, unknown or trailing field, an
+    /// empty value — is `None`, which the caller treats as a cache miss.
+    /// Every `f64` bit pattern round-trips. The text is read in one pass:
+    /// the text before each value is compared where it lies, and each
+    /// value is parsed up to the byte after it, which must begin the next
+    /// field or end the text.
+    pub fn decode(s: &str) -> Option<Self> {
+        let mut rest = s.as_bytes();
+        let mut words = [0u64; 13];
+        for (&(before, spelling), word) in FIELDS.iter().zip(&mut words) {
+            rest = rest.strip_prefix(before.as_bytes())?;
+            (*word, rest) = match spelling {
+                Spelling::Bits => hex16(rest)?,
+                Spelling::Decimal => decimal(rest)?,
+            };
+        }
+        rest.is_empty().then(|| JobResult::from_words(words))
+    }
+
+    /// The fields' values in [`FIELDS`]' order, a float as its bits.
+    fn words(&self) -> [u64; 13] {
+        [
             self.energy_j.to_bits(),
             self.core_energy_j.to_bits(),
             self.mean_freq_mhz.to_bits(),
@@ -511,65 +564,69 @@ impl JobResult {
             self.frames_dropped,
             self.sched_dropped,
             self.battery_remaining.to_bits(),
-        )
+        ]
     }
 
-    /// Decodes [`JobResult::encode`] output, strictly and in order: the
-    /// 13 fields must come in `encode`'s order, each once, each value
-    /// spelled as `encode` spells it (16 lowercase hex digits for a
-    /// float's bits, decimal without sign or leading zero for an
-    /// integer), and nothing may follow the last. Anything else — a
-    /// missing, reordered, duplicated, unknown or trailing field, an
-    /// empty value — is `None`, which the caller treats as a cache miss.
-    /// Every `f64` bit pattern round-trips.
-    pub fn decode(s: &str) -> Option<Self> {
-        let mut fields = s.split(';');
-        let mut field = |name: &str| fields.next()?.strip_prefix(name)?.strip_prefix('=');
-        let result = JobResult {
-            energy_j: float_bits(field("energy_j")?)?,
-            core_energy_j: float_bits(field("core_energy_j")?)?,
-            mean_freq_mhz: float_bits(field("mean_freq_mhz")?)?,
-            mean_utilization: float_bits(field("mean_utilization")?)?,
-            misses: decimal(field("misses")?)?,
-            max_lateness_us: decimal(field("max_lateness_us")?)?,
-            clock_switches: decimal(field("clock_switches")?)?,
-            voltage_switches: decimal(field("voltage_switches")?)?,
-            final_step: decimal(field("final_step")?)?,
-            frames_shown: decimal(field("frames_shown")?)?,
-            frames_dropped: decimal(field("frames_dropped")?)?,
-            sched_dropped: decimal(field("sched_dropped")?)?,
-            battery_remaining: float_bits(field("battery_remaining")?)?,
-        };
-        fields.next().is_none().then_some(result)
+    /// The result [`words`](Self::words) lists.
+    fn from_words(w: [u64; 13]) -> Self {
+        JobResult {
+            energy_j: f64::from_bits(w[0]),
+            core_energy_j: f64::from_bits(w[1]),
+            mean_freq_mhz: f64::from_bits(w[2]),
+            mean_utilization: f64::from_bits(w[3]),
+            misses: w[4],
+            max_lateness_us: w[5],
+            clock_switches: w[6],
+            voltage_switches: w[7],
+            final_step: w[8],
+            frames_shown: w[9],
+            frames_dropped: w[10],
+            sched_dropped: w[11],
+            battery_remaining: f64::from_bits(w[12]),
+        }
     }
 }
 
-/// A float from `{:016x}` of its bits: exactly 16 lowercase hex digits.
-fn float_bits(v: &str) -> Option<f64> {
-    if v.len() != 16 {
-        return None;
+/// Each byte's value as a lowercase hex digit, and `0xff` for a byte
+/// that is not one.
+const HEX_DIGIT: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        i += 1;
     }
-    let bits = v.bytes().try_fold(0u64, |bits, b| {
-        let digit = match b {
-            b'0'..=b'9' => b - b'0',
-            b'a'..=b'f' => b - b'a' + 10,
-            _ => return None,
-        };
-        Some(bits << 4 | u64::from(digit))
-    })?;
-    Some(f64::from_bits(bits))
+    table
+};
+
+/// A float's bits from the front of `text`: exactly 16 lowercase hex
+/// digits, and the bytes after them. The digits are looked up without a
+/// branch, and any byte that is not one sets the top bit of `bad`.
+fn hex16(text: &[u8]) -> Option<(u64, &[u8])> {
+    let (digits, rest) = text.split_first_chunk::<16>()?;
+    let (mut bits, mut bad) = (0u64, 0u8);
+    for &b in digits {
+        let digit = HEX_DIGIT[usize::from(b)];
+        bad |= digit;
+        bits = bits << 4 | u64::from(digit);
+    }
+    (bad & 0x80 == 0).then_some((bits, rest))
 }
 
-/// An integer as `{}` writes it: decimal digits, no sign and no leading
-/// zero.
-fn decimal(v: &str) -> Option<u64> {
-    if v.is_empty() || (v.starts_with('0') && v != "0") {
+/// An integer from the front of `text` as `{}` writes it: every decimal
+/// digit up to the first other byte, at least one, no leading zero and
+/// no overflow; and the bytes after them.
+fn decimal(text: &[u8]) -> Option<(u64, &[u8])> {
+    let mut n = 0u64;
+    let mut len = 0;
+    while let Some(&b @ b'0'..=b'9') = text.get(len) {
+        n = n.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+        len += 1;
+    }
+    if len == 0 || (text[0] == b'0' && len > 1) {
         return None;
     }
-    v.bytes().try_fold(0u64, |n, b| {
-        let digit = b.is_ascii_digit().then(|| u64::from(b - b'0'))?;
-        n.checked_mul(10)?.checked_add(digit)
-    })
+    Some((n, &text[len..]))
 }
 
 #[cfg(test)]

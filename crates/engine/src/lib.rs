@@ -11,7 +11,9 @@
 //! - completed cells persist in a content-addressed cache under
 //!   `results/cache/`: one append-only record log (`v3.log`) of
 //!   CRC-framed records, indexed in memory on first use, where a key's
-//!   last record wins. Re-running a sweep only simulates what changed;
+//!   last record wins. An [`Engine`] holds the index from one batch to
+//!   the next and catches it up with the file at each batch's start.
+//!   Re-running a sweep only simulates what changed;
 //! - a per-batch journal, a record log of the same kind under
 //!   `results/state/`, makes interrupted runs resumable (`--resume`)
 //!   even when the cache is off;

@@ -134,58 +134,179 @@ impl DeadlineRecord {
     }
 }
 
-/// All deadline outcomes of a run.
-#[derive(Debug, Clone, Default)]
+/// The deadline outcomes of a run: every record when the log records,
+/// and counters either way.
+///
+/// A recording log keeps one [`DeadlineRecord`] per completion, which
+/// the `deadline` and `elastic` experiments read. A counting log keeps
+/// only the counters, so its memory does not grow with the run's
+/// length; as §5.1 says of the paper's own logging module, "Due to
+/// kernel memory limitations, we could only capture a subset of the
+/// process behavior". The counters are the completions, in all and per
+/// label, the worst lateness, the misses at the log's one tolerance
+/// and, when the run has a timeline, those misses per window by
+/// completion time.
+#[derive(Debug, Clone)]
 pub struct DeadlineLog {
+    /// Every completion in order; empty unless the log records.
     records: Vec<DeadlineRecord>,
+    recording: bool,
+    /// The tolerance `misses` counts at.
+    tolerance: SimDuration,
+    completed: u64,
+    misses: u64,
+    max_lateness: SimDuration,
+    /// Completions per label, in order of each label's first.
+    per_label: Vec<(&'static str, u64)>,
+    /// Misses per timeline window of `window_us`; empty without a
+    /// timeline.
+    window_misses: Vec<u64>,
+    window_us: u64,
+}
+
+impl Default for DeadlineLog {
+    /// A recording log that counts misses at 100 ms, the tolerance the
+    /// experiments judge deadlines by.
+    fn default() -> Self {
+        DeadlineLog::new(true, SimDuration::from_millis(100))
+    }
 }
 
 impl DeadlineLog {
+    /// A log that keeps every record if `record` is set, and counts
+    /// misses at `tolerance` either way.
+    pub fn new(record: bool, tolerance: SimDuration) -> Self {
+        DeadlineLog {
+            records: Vec::new(),
+            recording: record,
+            tolerance,
+            completed: 0,
+            misses: 0,
+            max_lateness: SimDuration::ZERO,
+            per_label: Vec::new(),
+            window_misses: Vec::new(),
+            window_us: 1,
+        }
+    }
+
+    /// Also counts misses per window: `windows` windows of `window_us`
+    /// each, a miss in the one it completed in, and one past the last in
+    /// the last.
+    pub(crate) fn with_windows(mut self, windows: u32, window_us: u64) -> Self {
+        self.window_misses = vec![0; windows as usize];
+        self.window_us = window_us;
+        self
+    }
+
     /// Records a completion.
     pub fn record(&mut self, label: &'static str, due: SimTime, completed: SimTime) {
-        self.records.push(DeadlineRecord {
+        let record = DeadlineRecord {
             label,
             due_us: due.as_micros(),
             completed_us: completed.as_micros(),
-        });
+        };
+        self.completed += 1;
+        self.max_lateness = self.max_lateness.max(record.lateness());
+        // A label is a literal, so the same address usually means the
+        // same label, which spares a byte comparison.
+        let same = |l: &&str| std::ptr::eq(*l, label) || *l == label;
+        match self.per_label.iter_mut().find(|(l, _)| same(l)) {
+            Some((_, n)) => *n += 1,
+            None => self.per_label.push((label, 1)),
+        }
+        if !record.met(self.tolerance) {
+            self.misses += 1;
+            if let Some(last) = self.window_misses.len().checked_sub(1) {
+                let window = (record.completed_us / self.window_us) as usize;
+                self.window_misses[window.min(last)] += 1;
+            }
+        }
+        if self.recording {
+            self.records.push(record);
+        }
     }
 
-    /// All records.
+    /// All records, in completion order; empty unless the log records.
     pub fn records(&self) -> &[DeadlineRecord] {
         &self.records
     }
 
-    /// Number of records.
+    /// Number of completions.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.completed as usize
     }
 
-    /// True if nothing was recorded.
+    /// True if nothing completed.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.completed == 0
+    }
+
+    /// The tolerance the log counts misses at.
+    pub fn tolerance(&self) -> SimDuration {
+        self.tolerance
     }
 
     /// Number of deadlines missed by more than `tolerance`.
+    ///
+    /// # Panics
+    ///
+    /// If the log does not record and `tolerance` is not the one it
+    /// counts at: a counting log never answers for another.
     pub fn misses(&self, tolerance: SimDuration) -> usize {
-        self.records.iter().filter(|r| !r.met(tolerance)).count()
+        if tolerance == self.tolerance {
+            return self.misses as usize;
+        }
+        self.recorded("misses at another tolerance")
+            .iter()
+            .filter(|r| !r.met(tolerance))
+            .count()
     }
 
     /// Number of deadlines with the given label missed by more than
     /// `tolerance`.
+    ///
+    /// # Panics
+    ///
+    /// If the log does not record.
     pub fn misses_of(&self, label: &str, tolerance: SimDuration) -> usize {
-        self.records
+        self.recorded("misses per label")
             .iter()
             .filter(|r| r.label == label && !r.met(tolerance))
             .count()
     }
 
+    /// Completions per label, each label where it first completed.
+    pub fn completions(&self) -> &[(&'static str, u64)] {
+        &self.per_label
+    }
+
+    /// Number of completions with the given label.
+    pub fn completions_of(&self, label: &str) -> u64 {
+        self.per_label
+            .iter()
+            .find(|(l, _)| *l == label)
+            .map_or(0, |&(_, n)| n)
+    }
+
     /// The worst lateness observed.
     pub fn max_lateness(&self) -> SimDuration {
-        self.records
-            .iter()
-            .map(|r| r.lateness())
-            .max()
-            .unwrap_or(SimDuration::ZERO)
+        self.max_lateness
+    }
+
+    /// Misses at the log's tolerance per timeline window, by completion
+    /// time; empty without a timeline.
+    pub(crate) fn window_misses(&self) -> &[u64] {
+        &self.window_misses
+    }
+
+    /// The records, for an answer only they hold.
+    fn recorded(&self, what: &str) -> &[DeadlineRecord] {
+        assert!(
+            self.recording,
+            "a counting deadline log keeps no records for {what}; it counts misses at {} only",
+            self.tolerance
+        );
+        &self.records
     }
 }
 
@@ -273,6 +394,38 @@ mod tests {
         log.record("audio", SimTime::from_millis(10), SimTime::from_millis(10));
         assert_eq!(log.misses_of("frame", SimDuration::ZERO), 1);
         assert_eq!(log.misses_of("audio", SimDuration::ZERO), 0);
+    }
+
+    #[test]
+    fn a_counting_log_keeps_counters_not_records() {
+        let mut log = DeadlineLog::new(false, SimDuration::from_millis(5)).with_windows(2, 100_000);
+        log.record("frame", SimTime::from_millis(10), SimTime::from_millis(20));
+        log.record("audio", SimTime::from_millis(10), SimTime::from_millis(12));
+        log.record(
+            "frame",
+            SimTime::from_millis(100),
+            SimTime::from_millis(300),
+        );
+        assert!(log.records().is_empty());
+        assert_eq!(log.len(), 3);
+        assert_eq!(log.completions(), [("frame", 2), ("audio", 1)]);
+        assert_eq!(log.completions_of("frame_dropped"), 0);
+        assert_eq!(log.max_lateness(), SimDuration::from_millis(200));
+        assert_eq!(log.misses(SimDuration::from_millis(5)), 2);
+        // One miss in the first window; one past the last lands in it.
+        assert_eq!(log.window_misses(), [1, 1]);
+    }
+
+    #[test]
+    fn a_counting_log_never_answers_for_another_tolerance() {
+        let log = DeadlineLog::new(false, SimDuration::from_millis(5));
+        for ask in [
+            |l: &DeadlineLog| l.misses(SimDuration::ZERO),
+            |l: &DeadlineLog| l.misses_of("frame", SimDuration::from_millis(5)),
+        ] {
+            let asked = std::panic::catch_unwind(|| ask(&log));
+            assert!(asked.is_err(), "a counting log answered");
+        }
     }
 
     #[test]

@@ -25,9 +25,11 @@ pub struct WindowSample {
     pub energy_j: f64,
     /// Non-idle time inside the window, µs.
     pub busy_us: u64,
-    /// Deadline misses completed inside the window. The kernel leaves
-    /// this 0 — deadline records carry tolerances only the caller
-    /// knows — and the engine fills it per spec.
+    /// Deadline misses at [`KernelConfig::deadline_tolerance`] that
+    /// completed inside the window (one completing past the last window
+    /// counts in the last).
+    ///
+    /// [`KernelConfig::deadline_tolerance`]: crate::KernelConfig::deadline_tolerance
     pub misses: u64,
 }
 
@@ -71,7 +73,10 @@ pub struct KernelReport {
     pub core_energy: Energy,
     /// Scheduler activity log.
     pub sched_log: SchedLog,
-    /// Deadline outcomes reported by tasks.
+    /// Deadline outcomes reported by tasks: every record when
+    /// [`KernelConfig::record`] was on, counters either way.
+    ///
+    /// [`KernelConfig::record`]: crate::KernelConfig::record
     pub deadlines: DeadlineLog,
     /// Structured event trace (empty unless [`KernelConfig::trace`]
     /// was set).

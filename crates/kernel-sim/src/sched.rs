@@ -32,10 +32,17 @@ pub struct KernelConfig {
     /// work-fraction series, the power step-function trace (the DAQ
     /// resamples it) and the scheduler activity log. Off, or at
     /// [`SimFidelity::Summary`], the kernel keeps none of them and
-    /// skips the work-fraction arithmetic, so a run's memory does not
-    /// grow with its simulated length. Nothing else depends on it:
-    /// means, totals and decisions are bit-identical either way.
+    /// skips the work-fraction arithmetic. Off, at either fidelity, the
+    /// deadline log also keeps no records, only its counters
+    /// ([`DeadlineLog`]), so a run's memory does not grow with its
+    /// simulated length. Nothing else depends on it: means, totals,
+    /// decisions and deadline counts are bit-identical either way.
     pub record: bool,
+    /// The tolerance the deadline log counts misses at, and the
+    /// timeline's per-window misses judge by: a deadline met within it
+    /// is not a miss. A run with `record` off answers
+    /// [`DeadlineLog::misses`] at this tolerance only.
+    pub deadline_tolerance: SimDuration,
     /// Stop early once an attached battery is exhausted.
     pub stop_when_battery_empty: bool,
     /// Collect a structured event trace (quantum boundaries, policy
@@ -61,7 +68,8 @@ pub struct KernelConfig {
     /// default) integrates energy segment by segment and folds every
     /// utilization and frequency sample into `f64` running sums in tick
     /// order, the same left fold a recorded series' mean computes.
-    /// [`SimFidelity::Summary`] records nothing, whatever `record` says:
+    /// [`SimFidelity::Summary`] records no series or scheduler log,
+    /// whatever `record` says (its deadline log follows `record`):
     /// means come from exact integer accumulators
     /// ([`KernelReport::ticks`] and friends), and energy flows through a
     /// compensated [`SpanEnergy`] accumulator, one term per uniform
@@ -71,7 +79,7 @@ pub struct KernelConfig {
     /// series-derived floats differ, within the bound documented in
     /// DESIGN.md §9. Orthogonal to
     /// [`KernelConfig::reference`]: a Summary+reference run ticks
-    /// through the oracle loop while still recording nothing.
+    /// through the oracle loop while still recording no series.
     pub fidelity: SimFidelity,
     /// Number of equal sim-time windows to fold the run's trajectory
     /// into ([`KernelReport::timeline`]): per-window energy and busy
@@ -86,6 +94,7 @@ impl Default for KernelConfig {
             quantum: SimDuration::from_millis(10),
             duration: SimDuration::from_secs(30),
             record: true,
+            deadline_tolerance: SimDuration::from_millis(100),
             stop_when_battery_empty: false,
             trace: false,
             sched_log_capacity: None,
@@ -107,10 +116,15 @@ struct TimelineAcc {
     busy_us: Vec<u64>,
 }
 
+/// The width of each of `windows` equal windows over `duration_us`.
+fn window_us(windows: u32, duration_us: u64) -> u64 {
+    duration_us.div_ceil(u64::from(windows)).max(1)
+}
+
 impl TimelineAcc {
     fn new(windows: u32, duration_us: u64) -> Self {
         TimelineAcc {
-            win_us: duration_us.div_ceil(u64::from(windows)).max(1),
+            win_us: window_us(windows, duration_us),
             duration_us,
             energy_j: vec![0.0; windows as usize],
             busy_us: vec![0; windows as usize],
@@ -151,14 +165,14 @@ impl TimelineAcc {
         }
     }
 
-    fn samples(&self) -> Vec<crate::report::WindowSample> {
+    fn samples(&self, misses: &[u64]) -> Vec<crate::report::WindowSample> {
         (0..self.energy_j.len())
             .map(|i| crate::report::WindowSample {
                 start_us: (i as u64 * self.win_us).min(self.duration_us),
                 end_us: ((i as u64 + 1) * self.win_us).min(self.duration_us),
                 energy_j: self.energy_j[i],
                 busy_us: self.busy_us[i],
-                misses: 0,
+                misses: misses[i],
             })
             .collect()
     }
@@ -314,6 +328,11 @@ impl Kernel {
         // from counting drops it never intended to keep.
         let record = config.record && !config.fidelity.is_summary();
         let sched_log = SchedLog::bounded(record, config.sched_log_capacity);
+        let deadlines = DeadlineLog::new(config.record, config.deadline_tolerance);
+        let deadlines = match config.timeline_windows {
+            0 => deadlines,
+            n => deadlines.with_windows(n, window_us(n, config.duration.as_micros())),
+        };
         let trace = if config.trace {
             obs::Trace::on()
         } else {
@@ -326,7 +345,7 @@ impl Kernel {
             runqueue: VecDeque::new(),
             current: None,
             policy: None,
-            deadlines: DeadlineLog::default(),
+            deadlines,
             sched_log,
             trace,
         }
@@ -910,6 +929,9 @@ impl Kernel {
             .enumerate()
             .map(|(i, t)| ((i + 1) as Pid, t.behavior.label(), t.cpu_time))
             .collect();
+        let timeline = (ls.timeline.as_ref())
+            .map(|t| t.samples(self.deadlines.window_misses()))
+            .unwrap_or_default();
 
         KernelReport {
             utilization: ls.utilization,
@@ -942,7 +964,7 @@ impl Kernel {
             freq_mhz_sum: ls.freq_mhz_sum,
             util_sum_us: ls.util_sum_us,
             freq_khz_sum: ls.freq_khz_sum,
-            timeline: ls.timeline.map(|t| t.samples()).unwrap_or_default(),
+            timeline,
         }
     }
 }

@@ -60,6 +60,8 @@ proptest! {
             KernelConfig {
                 duration: SimDuration::from_secs(4),
                 record: false,
+                // The tolerance the misses below are counted at.
+                deadline_tolerance: SimDuration::from_millis(50),
                 ..KernelConfig::default()
             },
         );

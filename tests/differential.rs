@@ -20,6 +20,8 @@
 //!   recording: every other observable exactly, nothing recorded, and
 //!   means from the running sums bit-equal to the recorded series'
 //!   means;
+//! - the deadline counters of runs that record nothing to the recorded
+//!   deadline log, at three tolerances, with and without a timeline;
 //!
 //! over:
 //!
@@ -63,8 +65,8 @@ fn fingerprint(r: &KernelReport) -> String {
     recorded_output(r) + &run_fingerprint(r)
 }
 
-/// What [`KernelConfig::record`] switches on: the four series and the
-/// scheduler log.
+/// What [`KernelConfig::record`] switches on: the four series, the
+/// scheduler log and the deadline records.
 fn recorded_output(r: &KernelReport) -> String {
     let mut s = String::new();
     for series in [&r.utilization, &r.freq_mhz, &r.work_fraction, &r.power_w] {
@@ -77,7 +79,26 @@ fn recorded_output(r: &KernelReport) -> String {
         let _ = writeln!(s, "sched {} {} {}", rec.at_us, rec.pid, rec.clock_khz);
     }
     let _ = writeln!(s, "sched_dropped={}", r.sched_log.dropped());
+    for d in r.deadlines.records() {
+        let _ = writeln!(s, "dl {} {} {}", d.label, d.due_us, d.completed_us);
+    }
     s
+}
+
+/// The deadline log's counters, which a run keeps whether or not it
+/// records: completions in all and per label, the worst lateness, the
+/// misses at the log's tolerance and those misses per timeline window.
+fn deadline_counts(r: &KernelReport) -> String {
+    let dl = &r.deadlines;
+    let windows: Vec<u64> = r.timeline.iter().map(|w| w.misses).collect();
+    format!(
+        "deadlines={} {:?} late={} misses@{}={} windows={windows:?}\n",
+        dl.len(),
+        dl.completions(),
+        dl.max_lateness().as_micros(),
+        dl.tolerance().as_micros(),
+        dl.misses(dl.tolerance()),
+    )
 }
 
 /// Everything else a report carries: the run itself, whatever it
@@ -105,9 +126,7 @@ fn run_fingerprint(r: &KernelReport) -> String {
         r.mean_utilization().to_bits(),
         r.mean_freq_mhz().to_bits()
     );
-    for d in r.deadlines.records() {
-        let _ = writeln!(s, "dl {} {} {}", d.label, d.due_us, d.completed_us);
-    }
+    s += &deadline_counts(r);
     let _ = writeln!(
         s,
         "switches={}/{} final={}",
@@ -194,7 +213,8 @@ fn assert_record_is_output_only(label: &str, recorded: &KernelReport, bare: &Ker
     assert!(
         series.iter().all(|s| s.is_empty())
             && bare.sched_log.is_empty()
-            && bare.sched_log.dropped() == 0,
+            && bare.sched_log.dropped() == 0
+            && bare.deadlines.records().is_empty(),
         "recording off still recorded: {label}"
     );
     if recorded.freq_mhz.is_empty() {
@@ -483,6 +503,95 @@ fn kernel_config_variants_are_bit_identical() {
     }
 }
 
+/// The deadline counters of runs that record nothing, held to the
+/// recorded log of the same cell: completions in all and per label, the
+/// worst lateness, the misses at the counted tolerance, and those misses
+/// per timeline window by completion time. Every workload under every
+/// policy at two seeds, at three tolerances, with and without a
+/// seven-window timeline, at both fidelities (whose deadline outcomes
+/// the tests above hold equal).
+#[test]
+fn deadline_counters_match_the_recorded_log() {
+    let tolerances = [0, 15, 100].map(SimDuration::from_millis);
+    let mut missed_at = [0usize; 3];
+    for workload in workload_matrix() {
+        for policy in policy_matrix() {
+            for seed in [1, 42] {
+                let spec = JobSpec::new(workload, policy, 3, seed);
+                let run = |cfg: KernelConfig| {
+                    let mut k = Kernel::new(
+                        Machine::itsy(spec.initial_step, workload.devices()),
+                        KernelConfig {
+                            duration: spec.duration,
+                            ..cfg
+                        },
+                    );
+                    workload.spawn_into(&mut k, seed);
+                    k.install_policy(policy.build(ClockTable::sa1100()));
+                    k.run()
+                };
+                let recorded = run(KernelConfig::default());
+                let records = recorded.deadlines.records();
+                let mut per_label: Vec<(&str, u64)> = Vec::new();
+                for d in records {
+                    match per_label.iter_mut().find(|(l, _)| *l == d.label) {
+                        Some((_, n)) => *n += 1,
+                        None => per_label.push((d.label, 1)),
+                    }
+                }
+                let worst = records.iter().map(|d| d.lateness()).max();
+                for (t, &tolerance) in tolerances.iter().enumerate() {
+                    let missed: Vec<u64> = (records.iter())
+                        .filter(|d| !d.met(tolerance))
+                        .map(|d| d.completed_us)
+                        .collect();
+                    missed_at[t] += missed.len();
+                    for windows in [0, 7] {
+                        for fidelity in [SimFidelity::Full, SimFidelity::Summary] {
+                            let bare = run(KernelConfig {
+                                record: false,
+                                deadline_tolerance: tolerance,
+                                timeline_windows: windows,
+                                fidelity,
+                                ..KernelConfig::default()
+                            });
+                            let label = format!(
+                                "{} seed {seed}, {fidelity:?}, tolerance {tolerance}, \
+                                 {windows} windows",
+                                spec.label()
+                            );
+                            let dl = &bare.deadlines;
+                            assert!(dl.records().is_empty(), "{label}: records kept");
+                            assert_eq!(dl.len(), records.len(), "{label}: completions");
+                            assert_eq!(dl.completions(), per_label, "{label}: per label");
+                            assert_eq!(
+                                dl.max_lateness(),
+                                worst.unwrap_or(SimDuration::ZERO),
+                                "{label}: worst lateness"
+                            );
+                            assert_eq!(dl.misses(tolerance), missed.len(), "{label}: misses");
+                            // A miss lands in the window it completed in,
+                            // and one past the run's end in the last.
+                            let last = bare.timeline.len().saturating_sub(1);
+                            let mut want = vec![0u64; bare.timeline.len()];
+                            for &at in missed.iter().filter(|_| windows > 0) {
+                                let w = bare.timeline.iter().position(|w| at < w.end_us);
+                                want[w.unwrap_or(last)] += 1;
+                            }
+                            let got: Vec<u64> = bare.timeline.iter().map(|w| w.misses).collect();
+                            assert_eq!(got, want, "{label}: misses per window");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        missed_at.iter().all(|&n| n > 0),
+        "every tolerance must see misses: {missed_at:?}"
+    );
+}
+
 #[test]
 fn battery_cutoff_mid_span_is_bit_identical() {
     // A battery small enough to die mid-run: the cut-off lands inside
@@ -743,6 +852,7 @@ fn integer_fingerprint(r: &KernelReport) -> String {
     for d in r.deadlines.records() {
         let _ = writeln!(s, "dl {} {} {}", d.label, d.due_us, d.completed_us);
     }
+    s += &deadline_counts(r);
     let _ = writeln!(s, "battery={:?}", r.battery_remaining.map(|b| b.to_bits()));
     s
 }
