@@ -156,8 +156,6 @@ impl ResultCache {
                 return CacheProbe::Miss;
             };
             faults.damage_cache_bytes(key, bytes);
-
-            let _span = obs::span::enter("cache_decode");
             match parse(bytes, canonical) {
                 Some(probe) => probe,
                 None => {
@@ -213,14 +211,11 @@ impl ResultCache {
         if let Some(e) = faults.cache_write_error(key) {
             return Err(e);
         }
-        let record = {
-            let _span = obs::span::enter("result_encode");
-            let mut payload = String::with_capacity(canonical.len() + 1 + ENCODED_CAPACITY);
-            payload.push_str(canonical);
-            payload.push('\t');
-            result.write_encoded(&mut payload);
-            frame::frame(key, &payload)
-        };
+        let mut payload = String::with_capacity(canonical.len() + 1 + ENCODED_CAPACITY);
+        payload.push_str(canonical);
+        payload.push('\t');
+        result.write_encoded(&mut payload);
+        let record = frame::frame(key, &payload);
         self.with_log(|log| log.append(key, record, |_| None))
     }
 

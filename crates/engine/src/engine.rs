@@ -184,10 +184,6 @@ pub struct BatchOutcome {
     /// Aggregated observability metrics for the batch (also written as
     /// `metrics.json` when [`EngineConfig::write_metrics`] is set).
     pub metrics: RunMetrics,
-    /// The batch's wall-clock span profile: one buffer per thread
-    /// (collector first, then workers). Empty unless span profiling
-    /// was enabled ([`obs::span::set_enabled`]).
-    pub profile: obs::Profile,
 }
 
 impl BatchOutcome {
@@ -338,12 +334,9 @@ impl Engine {
         let mut keys: Vec<ContentKey> = Vec::with_capacity(specs.len());
         let mut canonical = String::new();
         for spec in specs {
-            let key = {
-                let _s = obs::span::enter("content_key");
-                canonical.clear();
-                spec.write_canonical(&mut canonical);
-                ContentKey::of(&canonical)
-            };
+            canonical.clear();
+            spec.write_canonical(&mut canonical);
+            let key = ContentKey::of(&canonical);
             let hit = journaled.get(&key).copied().inspect(|r| {
                 tally.journal_hits += 1;
                 // Backfill the cache so the next batch doesn't depend
@@ -354,25 +347,22 @@ impl Engine {
                 }
             });
             let hit = hit.or_else(|| match &cache {
-                Some(c) => {
-                    let _s = obs::span::enter("cache_probe");
-                    match c.probe_keyed(key, &canonical, &faults) {
-                        CacheProbe::Hit(r) => {
-                            tally.cache_hits += 1;
-                            obs::debug!("engine: cache_hit key={key}");
-                            Some(r)
-                        }
-                        CacheProbe::Quarantined => {
-                            tally.quarantined += 1;
-                            obs::warn!("engine: cache_quarantine key={key} action=recompute");
-                            None
-                        }
-                        CacheProbe::Miss => {
-                            obs::debug!("engine: cache_miss key={key}");
-                            None
-                        }
+                Some(c) => match c.probe_keyed(key, &canonical, &faults) {
+                    CacheProbe::Hit(r) => {
+                        tally.cache_hits += 1;
+                        obs::debug!("engine: cache_hit key={key}");
+                        Some(r)
                     }
-                }
+                    CacheProbe::Quarantined => {
+                        tally.quarantined += 1;
+                        obs::warn!("engine: cache_quarantine key={key} action=recompute");
+                        None
+                    }
+                    CacheProbe::Miss => {
+                        obs::debug!("engine: cache_miss key={key}");
+                        None
+                    }
+                },
                 None => None,
             });
             if let Some(r) = &hit {
@@ -417,7 +407,6 @@ impl Engine {
                     Ok((i, result)) => {
                         let key = keys[i];
                         if let Some(cache) = &cache {
-                            let _s = obs::span::enter("cache_write");
                             canonical.clear();
                             specs[i].write_canonical(&mut canonical);
                             if let Err(e) = cache.store_keyed(key, &canonical, &result, &faults) {
@@ -425,7 +414,6 @@ impl Engine {
                             }
                         }
                         if let Some(j) = &mut journal {
-                            let _s = obs::span::enter("journal_append");
                             if let Err(e) = j.record_with(key, &result, &faults) {
                                 obs::warn!("engine: journal write failed: {e}");
                             }
@@ -535,14 +523,12 @@ impl Engine {
             }
         }
 
-        let (metrics, profile) =
-            self.conclude(batch, workers, stats.elapsed_us, &tally, pooled.spans);
+        let metrics = self.conclude(batch, workers, stats.elapsed_us, &tally);
         BatchOutcome {
             results,
             stats,
             faults: faults.stats(),
             metrics,
-            profile,
         }
     }
 }
@@ -875,6 +861,10 @@ mod tests {
         assert_eq!(cold.metrics.cache_hits, 0);
         assert_eq!(cold.metrics.cache_hit_rate, 0.0);
         assert!(cold.metrics.sim_us > 0, "simulated time was accounted");
+        assert!(
+            cold.metrics.job_latency_max_us > 0.0,
+            "latency percentiles are always collected"
+        );
         // Per-policy buckets cover every cell exactly once.
         let cells: u64 = cold.metrics.per_policy.iter().map(|p| p.cells).sum();
         assert_eq!(cells, specs.len() as u64);

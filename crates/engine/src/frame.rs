@@ -38,9 +38,12 @@
 //! that one write. A writer killed mid-append, or a torn append injected
 //! by a fault plan, leaves the file mid-line; the next append writes a
 //! `\n` before its record, so the torn record fails its CRC alone and
-//! takes no later record with it. Every record is a pure function of its
-//! key, so a lost one costs only its recomputation. The log is not
-//! fsynced and never compacted.
+//! takes no later record with it. A log opened to read also `fstat`s its
+//! file before each append: a length it has not seen means another
+//! writer came since its last look, and the file's last byte then says
+//! whether that writer left it mid-line. Every record is a pure function
+//! of its key, so a lost one costs only its recomputation. The log is
+//! not fsynced and never compacted.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, Write};
@@ -168,8 +171,10 @@ pub(crate) struct Log {
     indexed: bool,
     /// Whether the file ends mid-line.
     torn: bool,
-    /// The file's length when the index last took in all of it.
-    len: u64,
+    /// The file's length when the index last took in all of it; `None`
+    /// once the log's own append has filed a record past bytes it has
+    /// not taken in, so that the next catch-up opens the file afresh.
+    len: Option<u64>,
     /// The end of the file's last whole line at that time: a catch-up
     /// scans from here.
     scanned: u64,
@@ -193,7 +198,7 @@ impl Log {
             index: KeyMap::default(),
             indexed,
             torn: false,
-            len: 0,
+            len: Some(0),
             scanned: 0,
             window: Vec::new(),
             window_at: 0,
@@ -240,18 +245,18 @@ impl Log {
     /// holds (by device and inode), is shorter than the log has seen it,
     /// has appeared since, or grew while the log saw it end mid-line
     /// (a writer that did not end the torn line may have changed its
-    /// key) is opened and indexed afresh. A key a user dropped stays
-    /// dropped unless the scanned bytes file it again. The window is
-    /// emptied, so that the reads after a catch-up move forward from the
-    /// first one.
+    /// key) is opened and indexed afresh, as is one the log appended to
+    /// after another writer. A key a user dropped stays dropped unless
+    /// the scanned bytes file it again. The window is emptied, so that
+    /// the reads after a catch-up move forward from the first one.
     pub(crate) fn catch_up(&mut self) {
         self.window.clear();
         self.window_at = 0;
         let same = |m: &fs::Metadata| (m.dev(), m.ino()) == self.id;
-        match (fs::metadata(&self.path), &self.file) {
-            (Err(_), None) => {}
-            (Ok(m), Some(_)) if same(&m) && m.len() == self.len => {}
-            (Ok(m), Some(_)) if same(&m) && m.len() > self.len && self.scanned == self.len => {
+        match (fs::metadata(&self.path), &self.file, self.len) {
+            (Err(_), None, _) => {}
+            (Ok(m), Some(_), Some(len)) if same(&m) && m.len() == len => {}
+            (Ok(m), Some(_), Some(len)) if same(&m) && m.len() > len && self.scanned == len => {
                 self.scan()
             }
             _ => *self = Log::open(std::mem::take(&mut self.path)),
@@ -286,7 +291,7 @@ impl Log {
         if filled > 0 {
             self.file_line(&buf[..filled], buf_at);
         }
-        (self.scanned, self.len, self.torn) = (buf_at, buf_at + filled as u64, filled > 0);
+        (self.scanned, self.len, self.torn) = (buf_at, Some(buf_at + filled as u64), filled > 0);
         buf.clear();
         self.window = buf;
         self.file = Some(file);
@@ -342,11 +347,12 @@ impl Log {
 
     /// Appends `key`'s framed `record` as one line with one `write_all`,
     /// creating the file on first use, and, in a log opened to read,
-    /// files it in the index. `tear` is given the line's length, its
-    /// newline included; if it returns a smaller count, only that many
-    /// bytes land. The log is then torn, as if its writer had been
-    /// killed mid-append, and, as with a real torn write, the caller is
-    /// not told.
+    /// files it in the index. A log opened to read first checks the
+    /// file's length, and its last byte if another writer changed it.
+    /// `tear` is given the line's length, its newline included; if it
+    /// returns a smaller count, only that many bytes land. The log is
+    /// then torn, as if its writer had been killed mid-append, and, as
+    /// with a real torn write, the caller is not told.
     pub(crate) fn append(
         &mut self,
         key: ContentKey,
@@ -368,6 +374,10 @@ impl Log {
                 self.file.insert(file)
             }
         };
+        // Another writer may have torn the file since the log last looked.
+        if self.indexed && file.metadata().map_or(true, |m| Some(m.len()) != self.len) {
+            self.torn = ends_mid_line(file);
+        }
         let len = record.len();
         let mut line = record;
         line.push('\n');
@@ -389,11 +399,15 @@ impl Log {
             // Appends land at the end, so the position after the write
             // is the end of this record's line. If the line began where
             // the log last saw the file end, no other writer came between,
-            // and the index holds every line up to here.
+            // and the index holds every line up to here. Otherwise it
+            // lacks what came between, and a later cut back to the old
+            // length would go unseen, so the next catch-up reopens.
             let end = file.stream_position()?;
             self.index.insert(key, (end - 1 - len as u64, len));
-            if end - line.len() as u64 == self.len {
-                (self.scanned, self.len) = (end, end);
+            if Some(end - line.len() as u64) == self.len {
+                (self.scanned, self.len) = (end, Some(end));
+            } else {
+                self.len = None;
             }
         }
         Ok(())
@@ -562,8 +576,9 @@ mod tests {
         /// Other writers append, tear, replace, cut and delete the file
         /// between the held log's catch-ups, as other caches and
         /// processes do between an engine's batches; the held log's own
-        /// appends follow a catch-up, as a batch's do. After every
-        /// catch-up the held index is the one a fresh open builds.
+        /// appends follow a catch-up, as a batch's do, and another
+        /// writer may tear the file in between. After every catch-up
+        /// the held index is the one a fresh open builds.
         #[test]
         fn a_caught_up_log_indexes_what_a_fresh_open_does(
             lines in proptest::collection::vec(any::<u64>(), 0..30),
@@ -576,11 +591,11 @@ mod tests {
             for &op in &ops {
                 let (key, line) = record(op);
                 let tear = |len: usize| Some(mix(op) as usize % len);
-                match op % 9 {
+                match op % 10 {
                     // The held log's own appends, whole and torn.
                     0 | 1 => {
                         held.catch_up();
-                        let tear = |len| if op % 9 == 1 { tear(len) } else { None };
+                        let tear = |len| if op % 10 == 1 { tear(len) } else { None };
                         held.append(key, line, tear).expect("append");
                     }
                     // Another writer's, whole and torn, through its own log.
@@ -611,9 +626,26 @@ mod tests {
                     7 => {
                         let _ = fs::remove_file(&path);
                     }
-                    _ => held.catch_up(),
+                    8 => held.catch_up(),
+                    // Another process tears the file between the held
+                    // log's catch-up and its append: the append must end
+                    // the torn line, so that a fresh open serves it.
+                    _ => {
+                        held.catch_up();
+                        let (other, torn) = record(mix(op));
+                        let part = |len: usize| Some(1 + mix(op) as usize % (len - 1));
+                        Log::open_append(path.clone()).append(other, torn, part).expect("torn append");
+                        held.append(key, line.clone(), |_| None).expect("append");
+                        let mut fresh = Log::open(path.clone());
+                        let at = fresh.index.get(&key).copied();
+                        let got = at.and_then(|at| fresh.read(at).ok().cloned());
+                        prop_assert!(
+                            got.as_deref() == Some(line.as_bytes()),
+                            "the record after a tear is lost"
+                        );
+                    }
                 }
-                if matches!(op % 9, 6 | 8) {
+                if matches!(op % 10, 6 | 8) {
                     let index: HashMap<_, _> = held.index.iter().map(|(&k, &v)| (k, v)).collect();
                     prop_assert_eq!(index, fresh_index(&path));
                 }

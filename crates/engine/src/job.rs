@@ -357,7 +357,6 @@ impl JobSpec {
         reference: bool,
         timeline_windows: u32,
     ) -> (JobResult, obs::Trace, Vec<WindowSample>) {
-        let _span = obs::span::enter("simulate");
         // No result field reads a series, the power trace, the
         // scheduler log or a deadline record, so the kernel records none
         // of them: the means come from its running sums, the deadline

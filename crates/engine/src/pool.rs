@@ -161,16 +161,9 @@ impl Tally {
     }
 
     /// The run's [`RunMetrics`]: every count from the tally, latency
-    /// percentiles, the per-policy breakdown (summed by label, since
-    /// descriptors that differ only in their voltage rule share one)
-    /// and the profile's stage breakdown.
-    fn metrics(
-        &self,
-        batch: &str,
-        workers: usize,
-        wall_us: u64,
-        profile: &obs::Profile,
-    ) -> RunMetrics {
+    /// percentiles and the per-policy breakdown (summed by label, since
+    /// descriptors that differ only in their voltage rule share one).
+    fn metrics(&self, batch: &str, workers: usize, wall_us: u64) -> RunMetrics {
         let mut per_policy: BTreeMap<String, PolicyMetrics> = BTreeMap::new();
         for (desc, p) in self.per_policy.values() {
             let entry = per_policy.entry(desc.label()).or_default();
@@ -201,8 +194,6 @@ impl Tally {
             ..RunMetrics::default()
         };
         metrics.set_job_latencies(&self.job_latency_us);
-        let stages = profile.tree().stage_self_totals();
-        metrics.set_stages(stages.iter().map(|(name, &ns)| (name.as_str(), ns)));
         metrics.finalize();
         metrics
     }
@@ -215,8 +206,6 @@ pub(crate) struct Pooled<A> {
     pub accs: Vec<A>,
     /// Surviving workers' tallies, merged.
     pub tally: Tally,
-    /// Surviving workers' span buffers, labelled `worker-N`.
-    pub spans: Vec<(String, obs::ThreadSpans)>,
     /// Specs taken from the source.
     pub pulled: usize,
     /// Workers that died outside the retry fence (engine bugs). Their
@@ -289,14 +278,11 @@ impl Engine {
             }
             // A worker that died outside the catch-unwind fence is
             // reported instead of aborting the process.
-            for (w, h) in handles.into_iter().enumerate() {
+            for h in handles {
                 match h.join() {
-                    Ok((acc, tally, spans)) => {
+                    Ok((acc, tally)) => {
                         pooled.accs.push(acc);
                         pooled.tally.merge(&tally);
-                        if !spans.is_empty() {
-                            pooled.spans.push((format!("worker-{w}"), spans));
-                        }
                     }
                     Err(payload) => {
                         pooled.dead += 1;
@@ -312,7 +298,7 @@ impl Engine {
 
     /// One worker: takes jobs until the source runs dry, runs each in the
     /// retry fence, and sends failures and whatever `finish` returns
-    /// down `tx`. Returns its accumulator, its run tally and its spans.
+    /// down `tx`. Returns its accumulator and its run tally.
     #[allow(clippy::too_many_arguments)]
     fn work<I, A, T, F>(
         &self,
@@ -323,7 +309,7 @@ impl Engine {
         count_pulled: bool,
         finish: &F,
         tx: mpsc::SyncSender<Result<T, JobFailure>>,
-    ) -> (A, Tally, obs::ThreadSpans)
+    ) -> (A, Tally)
     where
         I: Iterator<Item = (usize, JobSpec)>,
         A: Default,
@@ -350,7 +336,6 @@ impl Engine {
             // its execution, so no publish shows the one without the
             // other.
             fresh.total += u64::from(count_pulled);
-            let job_span = obs::span::enter("job");
             let started = Instant::now();
             // Computed on first read only (see the module docs).
             let key = LazyCell::new(|| spec.key());
@@ -413,7 +398,6 @@ impl Engine {
             fresh
                 .job_latency_us
                 .record((now - started).as_secs_f64() * 1e6);
-            drop(job_span);
             if now - published >= PUBLISH_EVERY {
                 published = now;
                 live::publish(Some(w), &fresh);
@@ -429,32 +413,19 @@ impl Engine {
         live::publish(Some(w), &fresh);
         tally.merge(&fresh);
         heartbeat.idle();
-        (acc, tally, obs::span::drain())
+        (acc, tally)
     }
 
-    /// Derives a run's [`RunMetrics`] from its merged `tally`,
-    /// assembles its profile — the calling thread first, then
-    /// `worker_spans` — and writes `metrics.json` and
-    /// `profile.trace.json` when the config asks for them.
+    /// Derives a run's [`RunMetrics`] from its merged `tally` and
+    /// writes it as `metrics.json` when the config asks for it.
     pub(crate) fn conclude(
         &self,
         batch: &str,
         workers: usize,
         wall_us: u64,
         tally: &Tally,
-        worker_spans: Vec<(String, obs::ThreadSpans)>,
-    ) -> (RunMetrics, obs::Profile) {
-        // Draining the calling thread also scoops up any spans the
-        // experiment closed before the run, so its stages appear
-        // alongside the engine's.
-        let mut profile = obs::Profile::default();
-        let collector = obs::span::drain();
-        if !collector.is_empty() {
-            profile.threads.push(("collector".to_string(), collector));
-        }
-        profile.threads.extend(worker_spans);
-        let metrics = tally.metrics(batch, workers, wall_us, &profile);
-
+    ) -> RunMetrics {
+        let metrics = tally.metrics(batch, workers, wall_us);
         if self.config().write_metrics {
             let dir = self.state_root().join(batch);
             let write = std::fs::create_dir_all(&dir)
@@ -462,17 +433,8 @@ impl Engine {
             if let Err(e) = write {
                 obs::warn!("engine: could not write metrics.json for `{batch}`: {e}");
             }
-            // The flame chart is wall-clock and profile-gated, so it
-            // only exists when spans were actually collected — the
-            // deterministic artifacts CI byte-diffs are untouched.
-            if !profile.is_empty() {
-                let json = obs::export_spans_chrome_json(&profile);
-                if let Err(e) = std::fs::write(dir.join("profile.trace.json"), json) {
-                    obs::warn!("engine: could not write profile.trace.json for `{batch}`: {e}");
-                }
-            }
         }
-        (metrics, profile)
+        metrics
     }
 }
 

@@ -100,8 +100,6 @@ pub struct StreamOutcome<A> {
     /// The run's metrics rollup (written as `metrics.json` when the
     /// engine config asks for it).
     pub metrics: RunMetrics,
-    /// Span profile: the calling thread first, then workers.
-    pub profile: obs::Profile,
 }
 
 impl Engine {
@@ -207,15 +205,13 @@ impl Engine {
             );
         }
 
-        let (metrics, profile) =
-            self.conclude(batch, workers, stats.elapsed_us, &tally, pooled.spans);
+        let metrics = self.conclude(batch, workers, stats.elapsed_us, &tally);
         StreamOutcome {
             acc,
             stats,
             failures,
             faults: faults.stats(),
             metrics,
-            profile,
         }
     }
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! repro [--seed N] [--jobs N] [--resume] [--no-cache] [--quiet | -v]
 //!       [--sweep-secs N] [--trace-secs N] [--optgap-secs N]
-//!       [--fault-plan SPEC] [--profile] [--metrics-addr HOST:PORT]
+//!       [--fault-plan SPEC] [--metrics-addr HOST:PORT]
 //!       [--baseline FILE] [--bench-tolerance PCT] [--bench-iters N]
 //!       [--devices N] [--device-secs N] [--fidelity full|summary]
 //!       [all | fig3 fig4 fig5 fig6 fig7 fig8 fig9
@@ -14,7 +14,9 @@
 //! ```
 //!
 //! Results are printed (tables + ASCII charts) and saved as CSV under
-//! `results/` (override with `REPRO_RESULTS_DIR`).
+//! `results/` (override with `REPRO_RESULTS_DIR`). An argument that is
+//! neither a flag above nor an experiment exits 2, naming it, before
+//! anything runs or is written.
 //!
 //! Observability:
 //!
@@ -58,11 +60,6 @@
 //!   `chaos:<seed>` or explicit `key=value` pairs, e.g.
 //!   `seed=7,corrupt=0.25,torn=0.25,panic=0.25,max_panics=2`.
 //!   The same spec replays the same faults, whatever `--jobs` is.
-//! - `--profile` — turn on the wall-clock span profiler for the whole
-//!   invocation: engine-backed experiments gain job-latency
-//!   percentiles' stage breakdown in `metrics.json`, write a
-//!   `profile.trace.json` flame chart next to it, and `trace` exports
-//!   grow a wall-clock span track alongside the sim-time tracks.
 //!
 //! `fleet` is the streaming population simulation (see EXPERIMENTS.md):
 //! `--devices N` devices (default 1000) are generated lazily from
@@ -147,6 +144,39 @@ fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
+/// What `all` runs, in order.
+const ALL: [&str; 26] = [
+    "table3",
+    "sa2",
+    "battery",
+    "cost",
+    "fig5",
+    "table1",
+    "fig6",
+    "fig7",
+    "fig3",
+    "fig4",
+    "fig8",
+    "fig9",
+    "table2",
+    "deadline",
+    "ablation",
+    "govil",
+    "elastic",
+    "tracedriven",
+    "timescale",
+    "summary",
+    "oracle",
+    "memprobe",
+    "modern",
+    "spectrum",
+    "optgap",
+    "sweep",
+];
+
+/// Experiments that run only when named.
+const NAMED_ONLY: [&str; 4] = ["sweep-full", "trace", "bench", "fleet"];
+
 fn print_stats(stats: &BatchStats) {
     let mut line = format!(
         "    engine: {} cells, {} simulated on {} worker(s), {} cache hit(s), {} journal hit(s)",
@@ -186,24 +216,7 @@ fn main() {
     } else if take_bool_flag(&mut args, "-v") {
         obs::set_verbosity(obs::Level::Debug);
     }
-    if take_bool_flag(&mut args, "--profile") {
-        obs::span::set_enabled(true);
-    }
-    if let Some(addr) = take_value_flag(&mut args, "--metrics-addr") {
-        let stall_ms = obs::exporter::stall_threshold_ms();
-        let bound = obs::exporter::start(&addr, stall_ms, engine::render_prometheus)
-            .unwrap_or_else(|e| {
-                eprintln!("cannot serve --metrics-addr {addr}: {e}");
-                std::process::exit(2);
-            });
-        obs::info!("repro: metrics exporter listening on http://{bound}/metrics");
-        if let Ok(path) = std::env::var("REPRO_METRICS_ADDR_FILE") {
-            std::fs::write(&path, bound.to_string()).unwrap_or_else(|e| {
-                eprintln!("cannot write metrics address to {path}: {e}");
-                std::process::exit(2);
-            });
-        }
-    }
+    let metrics_addr = take_value_flag(&mut args, "--metrics-addr");
     let baseline: Option<String> = take_value_flag(&mut args, "--baseline");
     let bench_tolerance: f64 = take_parsed(&mut args, "--bench-tolerance").unwrap_or(30.0);
     let bench_iters: Option<u32> = take_parsed(&mut args, "--bench-iters");
@@ -220,10 +233,39 @@ fn main() {
             std::process::exit(2);
         })
     });
+    let use_cache = !take_bool_flag(&mut args, "--no-cache");
+    let resume = take_bool_flag(&mut args, "--resume");
+    // Every flag is taken by now, so whatever is left must name
+    // experiments.
+    let known = |a: &str| a == "all" || ALL.contains(&a) || NAMED_ONLY.contains(&a);
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        let kind = if bad.starts_with('-') {
+            "option"
+        } else {
+            "experiment"
+        };
+        eprintln!("unknown {kind}: {bad}");
+        std::process::exit(2);
+    }
+    if let Some(addr) = metrics_addr {
+        let stall_ms = obs::exporter::stall_threshold_ms();
+        let bound = obs::exporter::start(&addr, stall_ms, engine::render_prometheus)
+            .unwrap_or_else(|e| {
+                eprintln!("cannot serve --metrics-addr {addr}: {e}");
+                std::process::exit(2);
+            });
+        obs::info!("repro: metrics exporter listening on http://{bound}/metrics");
+        if let Ok(path) = std::env::var("REPRO_METRICS_ADDR_FILE") {
+            std::fs::write(&path, bound.to_string()).unwrap_or_else(|e| {
+                eprintln!("cannot write metrics address to {path}: {e}");
+                std::process::exit(2);
+            });
+        }
+    }
     let engine = Engine::new(EngineConfig {
         jobs,
-        use_cache: !take_bool_flag(&mut args, "--no-cache"),
-        resume: take_bool_flag(&mut args, "--resume"),
+        use_cache,
+        resume,
         faults,
         progress: true,
         write_metrics: true,
@@ -234,34 +276,7 @@ fn main() {
     #[allow(non_snake_case)]
     let SEED = seed;
     let want: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "table3",
-            "sa2",
-            "battery",
-            "cost",
-            "fig5",
-            "table1",
-            "fig6",
-            "fig7",
-            "fig3",
-            "fig4",
-            "fig8",
-            "fig9",
-            "table2",
-            "deadline",
-            "ablation",
-            "govil",
-            "elastic",
-            "tracedriven",
-            "timescale",
-            "summary",
-            "oracle",
-            "memprobe",
-            "modern",
-            "spectrum",
-            "optgap",
-            "sweep",
-        ]
+        ALL.to_vec()
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
@@ -573,10 +588,7 @@ fn main() {
                     }
                 }
             }
-            other => {
-                eprintln!("unknown experiment: {other}");
-                std::process::exit(2);
-            }
+            other => unreachable!("`{other}` was checked before anything ran"),
         }
         println!("    ({:.2}s)\n", t0.elapsed().as_secs_f64());
     }

@@ -25,7 +25,7 @@ use crate::report;
 
 /// What `repro fleet` leaves on disk.
 pub struct FleetArtifacts {
-    /// The run itself (summary, stats, failures, metrics, profile).
+    /// The run itself (summary, stats, failures, metrics).
     pub outcome: FleetOutcome,
     /// Canonical summary bytes (`population_summary.txt`).
     pub summary_path: PathBuf,

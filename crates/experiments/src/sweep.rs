@@ -138,13 +138,9 @@ pub fn specs(config: &SweepConfig, seed: u64) -> Vec<JobSpec> {
 /// Runs the sweep on an explicit engine (the `repro` binary passes one
 /// configured from `--jobs` / `--resume` / `--no-cache`).
 pub fn run_with(eng: &Engine, config: &SweepConfig, seed: u64) -> (Sweep, BatchStats, RunMetrics) {
-    let specs = {
-        let _s = obs::span::enter("build_specs");
-        specs(config, seed)
-    };
+    let specs = specs(config, seed);
     let outcome = eng.run_batch("sweep", &specs);
 
-    let _collect_span = obs::span::enter("collect_results");
     let n_base = config.benchmarks.len();
     let mut failed: Vec<String> = Vec::new();
     let mut baselines: Vec<(Benchmark, f64)> = Vec::new();

@@ -23,7 +23,7 @@ use std::io;
 use std::path::PathBuf;
 
 use engine::{JobSpec, WorkloadSpec};
-use obs::{export_chrome_json_with_spans, export_csv, merge_traces, Trace};
+use obs::{export_chrome_json, export_csv, merge_traces, Trace};
 use policies::{Hysteresis, PolicyDesc, PredictorDesc, SpeedChange};
 use workloads::Benchmark;
 
@@ -107,45 +107,21 @@ pub fn specs(scenario: &str, seed: u64, secs: Option<u64>) -> Option<Vec<(String
 /// bytes do not depend on scheduling.
 pub fn export(scenario: &str, seed: u64, secs: Option<u64>) -> Option<TraceExport> {
     let specs = specs(scenario, seed, secs)?;
-    // Each run thread hands back its span buffer alongside the trace;
-    // with profiling off (the default, and what CI byte-diffs) the
-    // buffers are empty and the export is unchanged.
-    let runs: Vec<((String, Trace), obs::ThreadSpans)> = std::thread::scope(|s| {
+    let traces: Vec<(String, Trace)> = std::thread::scope(|s| {
         let handles: Vec<_> = specs
             .iter()
-            .map(|(label, spec)| {
-                s.spawn(move || {
-                    let run = {
-                        let _span = obs::span::enter("trace_run");
-                        let (_, trace) = spec.execute_traced();
-                        (label.clone(), trace)
-                    };
-                    (run, obs::span::drain())
-                })
-            })
+            .map(|(label, spec)| s.spawn(move || (label.clone(), spec.execute_traced().1)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("trace run panicked"))
             .collect()
     });
-    let mut profile = obs::Profile::default();
-    let mut traces: Vec<(String, Trace)> = Vec::with_capacity(runs.len());
-    for (run, spans) in runs {
-        if !spans.is_empty() {
-            profile.threads.push((format!("trace-{}", run.0), spans));
-        }
-        traces.push(run);
-    }
-    let merged = {
-        let _span = obs::span::enter("merge_traces");
-        merge_traces(&traces)
-    };
-    let _render_span = obs::span::enter("render_export");
+    let merged = merge_traces(&traces);
     Some(TraceExport {
         scenario: scenario.to_string(),
         csv: export_csv(&merged),
-        chrome_json: export_chrome_json_with_spans(&merged, &profile),
+        chrome_json: export_chrome_json(&merged),
         events: merged.len(),
         runs: traces.len(),
     })
@@ -181,28 +157,6 @@ mod tests {
         assert_eq!(specs.len(), 4);
         let labels: Vec<&str> = specs.iter().map(|(l, _)| l.as_str()).collect();
         assert!(labels.contains(&"mpeg") && labels.contains(&"web"));
-    }
-
-    #[test]
-    fn profiling_adds_a_wall_clock_span_track() {
-        obs::span::set_enabled(true);
-        let profiled = export("avgn", 1, Some(2)).expect("known scenario");
-        obs::span::set_enabled(false);
-        assert!(
-            profiled.chrome_json.contains("\"wall-clock (profiler)\""),
-            "span track missing from profiled export"
-        );
-        assert!(
-            profiled.chrome_json.contains("\"ph\":\"X\""),
-            "no complete events in span track"
-        );
-        assert!(
-            profiled.chrome_json.contains("\"trace-square\""),
-            "per-run thread label missing"
-        );
-        // Sim-time events are still there, and the document is intact.
-        assert!(profiled.chrome_json.contains("\"ph\":\"C\""));
-        assert!(profiled.chrome_json.trim_end().ends_with("]}"));
     }
 
     #[test]

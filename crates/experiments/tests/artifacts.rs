@@ -36,9 +36,9 @@ const RUNS: [(&str, &[&str]); 4] = [
     ),
 ];
 
-/// `metrics.json` keys whose values are wall-clock time (rates, latencies,
-/// profiler stages) or the host's memory, and so move run to run.
-const VOLATILE: [&str; 10] = [
+/// `metrics.json` keys whose values are wall-clock time (rates and
+/// latencies) or the host's memory, and so move run to run.
+const VOLATILE: [&str; 8] = [
     "jobs_per_sec",
     "sim_per_wall",
     "wall_us",
@@ -47,8 +47,6 @@ const VOLATILE: [&str; 10] = [
     "job_latency_p90_us",
     "job_latency_p99_us",
     "job_latency_max_us",
-    "total_us",
-    "share",
 ];
 
 /// `json` with the value of every [`VOLATILE`] key replaced by `_`; keys,
@@ -138,16 +136,14 @@ fn digests() -> BTreeMap<String, String> {
 #[test]
 fn masking_keeps_keys_and_counts_but_not_timings() {
     let json = "{\n  \"batch\": \"sweep\",\n  \"total\": 50,\n  \"wall_us\": 9136,\n  \
-                \"job_latency_p50_us\": 155.551662,\n  \"stages\": [\n    \
-                {\"stage\": \"a \\\"b\\\"\", \"total_us\": 12, \"share\": 0.500000}\n  ],\n  \
-                \"per_policy\": [\n    {\"policy\": \"PAST\", \"cells\": 2}\n  ]\n}\n";
+                \"job_latency_p50_us\": 155.551662,\n  \"per_policy\": [\n    \
+                {\"policy\": \"a \\\"b\\\"\", \"cells\": 2}\n  ]\n}\n";
     let masked = mask_volatile(json);
     assert_eq!(
         masked,
         "{\n  \"batch\": \"sweep\",\n  \"total\": 50,\n  \"wall_us\": _,\n  \
-         \"job_latency_p50_us\": _,\n  \"stages\": [\n    \
-         {\"stage\": \"a \\\"b\\\"\", \"total_us\": _, \"share\": _}\n  ],\n  \
-         \"per_policy\": [\n    {\"policy\": \"PAST\", \"cells\": 2}\n  ]\n}\n"
+         \"job_latency_p50_us\": _,\n  \"per_policy\": [\n    \
+         {\"policy\": \"a \\\"b\\\"\", \"cells\": 2}\n  ]\n}\n"
     );
     let retimed = json.replace("9136", "77").replace("155.551662", "1.0");
     assert_eq!(mask_volatile(&retimed), masked, "a timing moves no digest");

@@ -57,6 +57,28 @@ fn unknown_experiment_exits_nonzero() {
     let out = repro().arg("nosuchexperiment").output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"));
+    // A bad argument anywhere in the list is caught before the first
+    // experiment runs, `all` included, and so is a flag repro lacks.
+    let dir = std::env::temp_dir().join("itsy-dvs-repro-test-unknown");
+    for (args, named) in [
+        (
+            &["table3", "nosuchexperiment"][..],
+            "unknown experiment: nosuchexperiment",
+        ),
+        (&["all", "--bogus"][..], "unknown option: --bogus"),
+        (&["trace", "--profile"][..], "unknown option: --profile"),
+    ] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = repro()
+            .env("REPRO_RESULTS_DIR", &dir)
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(!dir.exists(), "{args:?} wrote results");
+    }
 }
 
 #[test]

@@ -21,7 +21,7 @@ use sim_core::FleetSummary;
 use crate::population::PopulationConfig;
 
 /// A fleet run's outcome: the population accumulator plus the engine's
-/// streaming stats, failure sample, metrics and profile.
+/// streaming stats, failure sample and metrics.
 pub type FleetOutcome = StreamOutcome<FleetAccum>;
 
 /// Number of equal sim-time windows the fleet timeline slices each

@@ -14,7 +14,6 @@
 //! mapping each run to its own row.
 
 use crate::event::{Event, EventKind, Field, Trace};
-use crate::span::Profile;
 
 /// One event of the merged, deterministically ordered stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,18 +129,6 @@ fn push(out: &mut String, first: &mut bool, s: String) {
 /// deterministic); quantum boundaries become per-run counter tracks and
 /// every other event an instant.
 pub fn export_chrome_json(merged: &[MergedEvent<'_>]) -> String {
-    export_chrome_json_with_spans(merged, &Profile::default())
-}
-
-/// [`export_chrome_json`] plus a wall-clock span track.
-///
-/// Sim-time events stay on `pid 0` exactly as before — an empty
-/// `profile` yields byte-identical output to [`export_chrome_json`],
-/// which is what keeps the default export deterministic. A non-empty
-/// profile (from `repro --profile`) adds `pid 1`: one row per recorded
-/// thread, spans as `ph:"X"` complete events — the flame chart of the
-/// real batch next to the simulated timeline.
-pub fn export_chrome_json_with_spans(merged: &[MergedEvent<'_>], profile: &Profile) -> String {
     let mut labels: Vec<&str> = merged.iter().map(|e| e.run).collect();
     labels.sort_unstable();
     labels.dedup();
@@ -178,64 +165,8 @@ pub fn export_chrome_json_with_spans(merged: &[MergedEvent<'_>], profile: &Profi
         };
         push(&mut out, &mut first, record);
     }
-    push_span_track(&mut out, &mut first, profile);
     out.push_str("]}\n");
     out
-}
-
-/// Renders a profile alone as Chrome `trace_event` JSON — the
-/// standalone `profile.trace.json` the engine writes per batch.
-pub fn export_spans_chrome_json(profile: &Profile) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    push_span_track(&mut out, &mut first, profile);
-    out.push_str("]}\n");
-    out
-}
-
-/// Appends the wall-clock span track (`pid 1`) for a batch profile:
-/// per-thread `thread_name` metadata, then every span as a `ph:"X"`
-/// complete event with µs timestamps relative to the profiling epoch.
-fn push_span_track(out: &mut String, first: &mut bool, profile: &Profile) {
-    if profile.is_empty() {
-        return;
-    }
-    push(
-        out,
-        first,
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\
-         \"args\":{\"name\":\"wall-clock (profiler)\"}}"
-            .to_string(),
-    );
-    for (tid, (label, _)) in profile.threads.iter().enumerate() {
-        push(
-            out,
-            first,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(label)
-            ),
-        );
-    }
-    for (tid, (_, spans)) in profile.threads.iter().enumerate() {
-        for rec in &spans.records {
-            let name = spans.paths[rec.path as usize].name;
-            push(
-                out,
-                first,
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\
-                     \"pid\":1,\"tid\":{tid}}}",
-                    json_escape(name),
-                    rec.start_ns / 1_000,
-                    rec.start_ns % 1_000,
-                    rec.dur_ns / 1_000,
-                    rec.dur_ns % 1_000,
-                ),
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -324,74 +255,5 @@ mod tests {
     #[test]
     fn json_escape_handles_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    fn profile_of_one_span() -> Profile {
-        use crate::span::{PathEntry, SpanRec, ThreadSpans};
-        Profile {
-            threads: vec![(
-                "worker-0".to_string(),
-                ThreadSpans {
-                    paths: vec![
-                        PathEntry {
-                            parent: None,
-                            name: "job",
-                        },
-                        PathEntry {
-                            parent: Some(0),
-                            name: "simulate",
-                        },
-                    ],
-                    records: vec![SpanRec {
-                        path: 1,
-                        start_ns: 1_234_567,
-                        dur_ns: 89_001,
-                    }],
-                    dropped: 0,
-                },
-            )],
-        }
-    }
-
-    #[test]
-    fn empty_profile_is_byte_identical_to_plain_export() {
-        let runs = vec![("mpeg".to_string(), trace(&[(10, 0.5), (20, 0.75)]))];
-        let merged = merge_traces(&runs);
-        assert_eq!(
-            export_chrome_json(&merged),
-            export_chrome_json_with_spans(&merged, &Profile::default()),
-            "an empty span track must not perturb the deterministic export"
-        );
-    }
-
-    #[test]
-    fn span_track_lands_on_pid_1_as_complete_events() {
-        let runs = vec![("mpeg".to_string(), trace(&[(10, 0.5)]))];
-        let merged = merge_traces(&runs);
-        let json = export_chrome_json_with_spans(&merged, &profile_of_one_span());
-        assert!(json.contains("\"name\":\"wall-clock (profiler)\""));
-        assert!(json.contains(
-            "{\"name\":\"simulate\",\"ph\":\"X\",\"ts\":1234.567,\"dur\":89.001,\"pid\":1,\"tid\":0}"
-        ));
-        assert!(
-            json.contains("\"ph\":\"C\""),
-            "sim-time track still present"
-        );
-        assert!(json.trim_end().ends_with("]}"));
-    }
-
-    #[test]
-    fn standalone_span_export_is_valid_and_named() {
-        let json = export_spans_chrome_json(&profile_of_one_span());
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("\"thread_name\""));
-        assert!(json.contains("\"worker-0\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.trim_end().ends_with("]}"));
-        // An empty profile renders an empty but well-formed document.
-        assert_eq!(
-            export_spans_chrome_json(&Profile::default()),
-            "{\"traceEvents\":[\n]}\n"
-        );
     }
 }

@@ -19,10 +19,6 @@
 //! - [`export`] — deterministic trace export: merged event streams
 //!   ordered by `(sim_time, run, seq)` — never wall clock — rendered
 //!   as CSV and Chrome `trace_event` JSON.
-//! - [`span`] — hierarchical wall-clock span profiling: scoped RAII
-//!   guards recording into per-thread buffers, merged per batch into a
-//!   [`SpanTree`] and exportable as a Chrome flame-chart track. Off by
-//!   default ([`span::set_enabled`]); `repro --profile` turns it on.
 //! - [`exporter`] — the `/metrics` endpoint over a bare
 //!   `TcpListener`: it serves whatever render function its caller
 //!   passes (the engine renders its counts) and patrols the stall
@@ -38,15 +34,10 @@ pub mod exporter;
 pub mod host;
 pub mod logger;
 pub mod run_metrics;
-pub mod span;
 pub mod watchdog;
 
 pub use event::{Event, EventKind, Trace};
-pub use export::{
-    export_chrome_json, export_chrome_json_with_spans, export_csv, export_spans_chrome_json,
-    merge_traces, MergedEvent,
-};
+pub use export::{export_chrome_json, export_csv, merge_traces, MergedEvent};
 pub use host::{core_count, cpu_model, kernel_version, peak_rss_bytes};
 pub use logger::{enabled, set_verbosity, verbosity, Level};
-pub use run_metrics::{PolicyMetrics, RunMetrics, StageMetrics};
-pub use span::{Profile, SpanGuard, SpanNode, SpanTree, ThreadSpans};
+pub use run_metrics::{PolicyMetrics, RunMetrics};

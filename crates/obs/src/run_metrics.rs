@@ -9,22 +9,13 @@
 //! The JSON is hand-rolled like every other serializer in this
 //! workspace (there is no `serde` dependency). Derived
 //! rates carry fixed six-digit precision so the file is byte-stable for
-//! a given set of inputs; wall-clock fields (`wall_us`, `jobs_per_sec`,
-//! `sim_per_wall`) are *not* deterministic across runs, which is why CI
-//! excludes `metrics.json` from its byte-identity diffs.
+//! a given set of inputs, except for the values that measure wall-clock
+//! time or host memory: `jobs_per_sec`, `sim_per_wall`, `wall_us`,
+//! `peak_rss_bytes` and the four `job_latency_*_us` percentiles. Those
+//! move run to run, so the artifact pin masks them and CI's
+//! byte-identity diffs exclude `metrics.json`.
 
 use std::fmt::Write as _;
-
-/// Wall-clock time attributed to one profiler stage (span name).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StageMetrics {
-    /// Span name ("simulate", "cache_probe", …).
-    pub stage: String,
-    /// Self time summed across all spans with this name, µs.
-    pub total_us: u64,
-    /// `total_us` over the sum of all stages' self time.
-    pub share: f64,
-}
 
 /// Simulated-machine counts attributed to one policy label.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -93,9 +84,6 @@ pub struct RunMetrics {
     pub job_latency_p99_us: f64,
     /// Worst per-job wall latency, µs.
     pub job_latency_max_us: f64,
-    /// Per-stage wall-clock breakdown from the span profiler, sorted
-    /// by stage name; empty when profiling was off.
-    pub stages: Vec<StageMetrics>,
     /// Per-policy breakdown, sorted by label.
     pub per_policy: Vec<PolicyMetrics>,
 }
@@ -115,7 +103,6 @@ impl RunMetrics {
             0.0
         };
         self.per_policy.sort_by(|a, b| a.policy.cmp(&b.policy));
-        self.stages.sort_by(|a, b| a.stage.cmp(&b.stage));
     }
 
     /// Fills the per-job latency percentile fields from a log-bucketed
@@ -126,29 +113,6 @@ impl RunMetrics {
         self.job_latency_p90_us = hist.percentile(0.90).unwrap_or(0.0);
         self.job_latency_p99_us = hist.percentile(0.99).unwrap_or(0.0);
         self.job_latency_max_us = hist.max().unwrap_or(0.0);
-    }
-
-    /// Fills the per-stage breakdown from `(stage, self_ns)` totals as
-    /// produced by `SpanTree::stage_self_totals`.
-    pub fn set_stages<'a>(&mut self, totals: impl IntoIterator<Item = (&'a str, u64)>) {
-        let stages: Vec<(String, u64)> = totals
-            .into_iter()
-            .map(|(name, ns)| (name.to_string(), ns / 1_000))
-            .collect();
-        let whole: u64 = stages.iter().map(|(_, us)| us).sum();
-        self.stages = stages
-            .into_iter()
-            .map(|(stage, total_us)| StageMetrics {
-                stage,
-                total_us,
-                share: if whole == 0 {
-                    0.0
-                } else {
-                    total_us as f64 / whole as f64
-                },
-            })
-            .collect();
-        self.stages.sort_by(|a, b| a.stage.cmp(&b.stage));
     }
 
     /// Renders the metrics as a JSON document (trailing newline).
@@ -197,23 +161,6 @@ impl RunMetrics {
             "  \"job_latency_max_us\": {:.6},",
             self.job_latency_max_us
         );
-        out.push_str("  \"stages\": [");
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"stage\": \"{}\", \"total_us\": {}, \"share\": {:.6}}}",
-                escape(&s.stage),
-                s.total_us,
-                s.share
-            );
-        }
-        if !self.stages.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
         out.push_str("  \"per_policy\": [");
         for (i, p) in self.per_policy.iter().enumerate() {
             if i > 0 {
@@ -369,28 +316,6 @@ mod tests {
         assert!(json.contains("\"job_latency_max_us\": 100000.000000"));
         m.set_job_latencies(&sim_core::LogHistogram::new());
         assert_eq!(m.job_latency_max_us, 0.0);
-    }
-
-    #[test]
-    fn stages_sort_and_share_sums_to_one() {
-        let mut m = sample();
-        m.set_stages([("simulate", 3_000_000u64), ("cache_probe", 1_000_000u64)]);
-        assert_eq!(m.stages[0].stage, "cache_probe");
-        assert_eq!(m.stages[0].total_us, 1_000);
-        assert_eq!(m.stages[1].stage, "simulate");
-        let share_sum: f64 = m.stages.iter().map(|s| s.share).sum();
-        assert!((share_sum - 1.0).abs() < 1e-9);
-        let json = m.to_json();
-        let stages_at = json.find("\"stages\"").expect("stages key");
-        let per_policy_at = json.find("\"per_policy\"").expect("per_policy key");
-        assert!(stages_at < per_policy_at, "stages precede per_policy");
-        assert!(json.contains("{\"stage\": \"simulate\", \"total_us\": 3000, \"share\": 0.750000}"));
-    }
-
-    #[test]
-    fn empty_stages_render_as_empty_array() {
-        let json = sample().to_json();
-        assert!(json.contains("\"stages\": [],"));
     }
 
     #[test]
