@@ -17,7 +17,7 @@
 //! file, which costs one `stat` when no other writer appended.
 //!
 //! **Probe.** A lookup is a hash lookup plus a read of the record, copied
-//! out of the log's read-ahead window while probes move forward through
+//! out of a reader's read-ahead window while probes move forward through
 //! the file and one positioned read otherwise. The record is validated
 //! before it is served: its CRC, checked over the bytes as read, then a
 //! byte-for-byte match of the stored canonical spec against the
@@ -28,7 +28,9 @@
 //! `<dir>/quarantine/<key>.entry` for forensics, the key leaves the
 //! index, and [`CacheProbe::Quarantined`] tells the engine to recompute
 //! the cell. The recomputed result's record then supersedes the damaged
-//! one.
+//! one. The read and the validation need only a shared log, so the
+//! engine's probing threads run them at once, each through its own
+//! reader, and its calling thread quarantines afterwards, in cell order.
 //!
 //! **Store.** One append of one record to the log, which each
 //! `ResultCache` opens once; the first store creates the directory and
@@ -40,7 +42,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use crate::fault::FaultInjector;
-use crate::frame::{self, Log};
+use crate::frame::{self, Log, Reader};
 use crate::job::{JobResult, JobSpec, ENCODED_CAPACITY};
 use crate::key::ContentKey;
 
@@ -73,8 +75,9 @@ impl CacheProbe {
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
-    /// The open log and its index, read on first use.
-    log: Mutex<Option<Log>>,
+    /// The open log and its index, read on first use, and the reader the
+    /// cache's own probes read it through.
+    log: Mutex<Option<(Log, Reader)>>,
 }
 
 impl ResultCache {
@@ -101,22 +104,26 @@ impl ResultCache {
         self.dir.join("quarantine")
     }
 
-    /// Runs `f` on the log, reading its index on first use. Every step
-    /// of an update leaves the log consistent (a record enters the index
-    /// only after its write, and a torn tail errs towards a spare
-    /// newline), so a lock poisoned by a panicking caller is recovered.
-    fn with_log<T>(&self, f: impl FnOnce(&mut Log) -> T) -> T {
-        let mut log = self.log.lock().unwrap_or_else(PoisonError::into_inner);
-        f(log.get_or_insert_with(|| Log::open(self.log_path())))
+    /// Runs `f` on the log and the cache's reader under the cache's
+    /// lock, reading the log's index on first use. Every step of an
+    /// update leaves the log consistent (a record enters the index only
+    /// after its write, and a torn tail errs towards a spare newline), so
+    /// a lock poisoned by a panicking caller is recovered.
+    pub(crate) fn with_log<T>(&self, f: impl FnOnce(&mut Log, &mut Reader) -> T) -> T {
+        let mut held = self.log.lock().unwrap_or_else(PoisonError::into_inner);
+        let (log, reader) =
+            held.get_or_insert_with(|| (Log::open(self.log_path()), Reader::default()));
+        f(log, reader)
     }
 
     /// Brings an open log's index up to its file, so that it files
     /// every record any writer appended since it last looked; a log not
     /// yet open reads the whole file on first use anyway.
     pub(crate) fn catch_up(&self) {
-        let mut log = self.log.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(log) = log.as_mut() {
+        let mut held = self.log.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((log, reader)) = held.as_mut() {
             log.catch_up();
+            reader.clear();
         }
     }
 
@@ -144,42 +151,42 @@ impl ResultCache {
         canonical: &str,
         faults: &FaultInjector,
     ) -> CacheProbe {
-        self.with_log(|log| {
-            let Some(&at) = log.index.get(&key) else {
-                return CacheProbe::Miss;
-            };
-            if faults.cache_read_error(key) {
-                // The read "failed"; indistinguishable from no record.
-                return CacheProbe::Miss;
-            }
-            let Ok(bytes) = log.read(at) else {
-                return CacheProbe::Miss;
-            };
-            faults.damage_cache_bytes(key, bytes);
-            match parse(bytes, canonical) {
-                Some(probe) => probe,
-                None => {
-                    self.quarantine(key, bytes);
-                    log.index.remove(&key);
+        self.with_log(
+            |log, reader| match read_checked(log, reader, key, canonical, faults) {
+                None => CacheProbe::Miss,
+                Some(Ok(result)) => CacheProbe::Hit(result),
+                Some(Err(damaged)) => {
+                    self.quarantine_in(log, key, damaged);
                     CacheProbe::Quarantined
                 }
-            }
-        })
+            },
+        )
     }
 
-    /// Keeps a damaged record's bytes for forensics. Best effort: the
-    /// key leaves the index next, so the record is never served again by
-    /// this cache either way.
-    fn quarantine(&self, key: ContentKey, bytes: &[u8]) {
+    /// Quarantines `key`'s damaged record, whose bytes a
+    /// [`read_checked`] returned, unless the key has left the index since
+    /// (an earlier quarantine of it); whether it did.
+    pub(crate) fn quarantine(&self, key: ContentKey, bytes: &[u8]) -> bool {
+        self.with_log(|log, _| self.quarantine_in(log, key, bytes))
+    }
+
+    /// Takes `key` out of `log`'s index and, if it was there, keeps the
+    /// damaged record's bytes for forensics. The copy is best effort: the
+    /// record is never served again by this cache either way.
+    fn quarantine_in(&self, log: &mut Log, key: ContentKey, bytes: &[u8]) -> bool {
+        if log.index.remove(&key).is_none() {
+            return false;
+        }
         let qdir = self.quarantine_dir();
         let _ = fs::create_dir_all(&qdir)
             .and_then(|()| fs::write(qdir.join(format!("{key}.entry")), bytes));
+        true
     }
 
     /// Whether the log holds a record for `key` (damaged records count
     /// until a probe quarantines them).
     pub(crate) fn contains(&self, key: ContentKey) -> bool {
-        self.with_log(|log| log.index.contains_key(&key))
+        self.with_log(|log, _| log.index.contains_key(&key))
     }
 
     /// Appends a result's record to the log.
@@ -216,13 +223,13 @@ impl ResultCache {
         payload.push('\t');
         result.write_encoded(&mut payload);
         let record = frame::frame(key, &payload);
-        self.with_log(|log| log.append(key, record, |_| None))
+        self.with_log(|log, _| log.append(key, record, |_| None))
     }
 
     /// Number of keys the log holds a record for (damaged records count
     /// until a probe quarantines them).
     pub fn len(&self) -> usize {
-        self.with_log(|log| log.index.len())
+        self.with_log(|log, _| log.index.len())
     }
 
     /// Whether the cache holds no records.
@@ -235,6 +242,34 @@ impl ResultCache {
         fs::read_dir(self.quarantine_dir())
             .map(|d| d.flatten().count())
             .unwrap_or(0)
+    }
+}
+
+/// Reads `key`'s record of `log` through `reader` and validates it
+/// against the requesting spec's `canonical` string, under `faults`'
+/// read-error, corrupt and truncate sites: `None` for a miss (no record,
+/// a failed read, or a healthy record of another spec), a hit, or the
+/// bytes of a damaged record, which the caller quarantines. A key with
+/// no record draws no fault. The log is only read, so threads that each
+/// own a reader may check records of one log at once.
+pub(crate) fn read_checked<'r>(
+    log: &Log,
+    reader: &'r mut Reader,
+    key: ContentKey,
+    canonical: &str,
+    faults: &FaultInjector,
+) -> Option<Result<JobResult, &'r [u8]>> {
+    let &at = log.index.get(&key)?;
+    if faults.cache_read_error(key) {
+        // The read "failed"; indistinguishable from no record.
+        return None;
+    }
+    let bytes = reader.read(log, at).ok()?;
+    faults.damage_cache_bytes(key, bytes);
+    match parse(bytes, canonical) {
+        Some(CacheProbe::Hit(result)) => Some(Ok(result)),
+        Some(_) => None,
+        None => Some(Err(bytes)),
     }
 }
 

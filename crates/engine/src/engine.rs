@@ -10,14 +10,22 @@
 //!    the index up with the file at each batch's start,
 //! 3. the worker pool, which simulates whatever is left.
 //!
+//! The first two are looked up in one up-front pass, spread over as
+//! many threads as the batch has workers; each thread reads the log
+//! through its own reader and writes its cells' keys and reused results
+//! into their slots. Whatever writes a file or depends on the order of
+//! cells (quarantines, journal backfills) runs on the calling thread
+//! after the pass, in cell order, so a batch's outcome, counts, fault
+//! draws and files do not depend on how many threads probed.
+//!
 //! Results land in a slot vector indexed by submission order, so output
 //! is a pure function of the specs — never of worker count or of which
 //! worker finished first. The pool (shared with [`Engine::run_stream`])
 //! sends each completion over a *bounded* channel to the calling
-//! thread, which is the only thread that writes the cache, the journal
-//! and the slots; workers just simulate and send. The bound keeps
-//! completed-but-unwritten results from piling up faster than the disk
-//! absorbs them.
+//! thread, which is the only thread that writes the cache and the
+//! journal, and the simulated results' slots; workers just simulate and
+//! send. The bound keeps completed-but-unwritten results from piling up
+//! faster than the disk absorbs them.
 //!
 //! # Failure containment
 //!
@@ -37,14 +45,16 @@
 //! and the chaos suite asserts the engine's output is bit-identical to
 //! a fault-free run.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use obs::RunMetrics;
 
-use crate::cache::{CacheProbe, ResultCache};
+use crate::cache::{read_checked, ResultCache};
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
+use crate::frame::{Log, Reader};
 use crate::job::{JobResult, JobSpec};
 use crate::journal::Journal;
 use crate::key::ContentKey;
@@ -235,6 +245,108 @@ impl Clone for Engine {
     }
 }
 
+/// A cell whose up-front lookup leaves work that writes, which the
+/// calling thread does after the pass, in cell order.
+enum Deferred {
+    /// A journal hit: the cache is backfilled with it.
+    Backfill,
+    /// A cache record that failed validation: its bytes, to quarantine.
+    Quarantine(Vec<u8>),
+}
+
+/// A contiguous run of a batch's cells: the index of the first, and the
+/// cells' specs and the slots for their keys and results.
+type Run<'a> = (
+    usize,
+    &'a [JobSpec],
+    &'a mut [ContentKey],
+    &'a mut [Option<Result<JobResult, JobFailure>>],
+);
+
+/// One probing thread's own state in the up-front pass.
+#[derive(Default)]
+struct Prober {
+    /// The canonical string of the cell at hand, from which its key is
+    /// derived once. Every cell the thread takes reuses the buffer; a
+    /// cell left to simulate writes its string again when it is stored,
+    /// since holding every pending cell's string for the whole batch
+    /// would cost more memory than the formatting costs time.
+    canonical: String,
+    /// The thread's reads of the cache log.
+    reader: Reader,
+    /// Keys whose record this thread found damaged: a later cell of one
+    /// is a miss that draws no fault, as after a serial quarantine.
+    damaged: Vec<ContentKey>,
+    /// The reused results, counted.
+    tally: Tally,
+    /// The cells left to the calling thread, in cell order.
+    deferred: Vec<(usize, Deferred)>,
+}
+
+impl Prober {
+    /// Settles one run of cells: each cell's key, and its result if the
+    /// journal or the cache holds one.
+    fn settle(
+        &mut self,
+        (at, specs, keys, slots): Run,
+        journaled: &HashMap<ContentKey, JobResult>,
+        log: Option<&Log>,
+        faults: &FaultInjector,
+    ) {
+        let cells = specs.iter().zip(keys).zip(slots);
+        for (i, ((spec, key), slot)) in (at..).zip(cells) {
+            self.canonical.clear();
+            spec.write_canonical(&mut self.canonical);
+            *key = ContentKey::of(&self.canonical);
+            let hit = if let Some(&r) = journaled.get(key) {
+                self.tally.journal_hits += 1;
+                self.deferred.push((i, Deferred::Backfill));
+                Some(r)
+            } else {
+                let found = match log {
+                    Some(log) if !self.damaged.contains(key) => {
+                        read_checked(log, &mut self.reader, *key, &self.canonical, faults)
+                    }
+                    _ => None,
+                };
+                match found {
+                    Some(Ok(r)) => {
+                        self.tally.cache_hits += 1;
+                        obs::debug!("engine: cache_hit key={key}");
+                        Some(r)
+                    }
+                    Some(Err(bytes)) => {
+                        self.damaged.push(*key);
+                        self.deferred
+                            .push((i, Deferred::Quarantine(bytes.to_vec())));
+                        None
+                    }
+                    None => {
+                        if log.is_some() {
+                            obs::debug!("engine: cache_miss key={key}");
+                        }
+                        None
+                    }
+                }
+            };
+            if let Some(r) = &hit {
+                self.tally.record(spec, r);
+            }
+            *slot = hit.map(Ok);
+        }
+    }
+}
+
+/// What the up-front pass settled: every cell's key, the results it
+/// reused, the cells left to the calling thread and the reused results'
+/// tally.
+struct Settled {
+    keys: Vec<ContentKey>,
+    slots: Vec<Option<Result<JobResult, JobFailure>>>,
+    deferred: Vec<(usize, Deferred)>,
+    tally: Tally,
+}
+
 /// Best-effort text from a panic payload.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -296,6 +408,80 @@ impl Engine {
         }
     }
 
+    /// The up-front pass over a batch's cells: each cell's canonical
+    /// string and key, its journal lookup and, given the cache's `log`,
+    /// its cache probe up to validation, with the reused results
+    /// counted. It runs on `min(worker_count, cells)` threads, the
+    /// calling thread and scoped helpers, each with its own canonical
+    /// buffer, reader and tally; a batch under an active fault plan
+    /// runs it on one, so that a key that repeats draws its faults in
+    /// cell order. A thread takes the next contiguous run of cells, a
+    /// `1/threads` share of those not yet taken, until none are left, so
+    /// a helper that starts late takes less. Nothing here writes a file
+    /// or depends on which thread took which cell: the caller
+    /// quarantines, backfills and publishes afterwards, in cell order.
+    fn settle(
+        &self,
+        specs: &[JobSpec],
+        journaled: &HashMap<ContentKey, JobResult>,
+        log: Option<&Log>,
+        faults: &FaultInjector,
+    ) -> Settled {
+        let threads = if faults.is_active() {
+            1
+        } else {
+            self.worker_count().min(specs.len()).max(1)
+        };
+        let mut keys = vec![ContentKey(0); specs.len()];
+        let mut slots = Vec::with_capacity(specs.len());
+        slots.resize_with(specs.len(), || None);
+        let rest: Mutex<Run> = Mutex::new((0, specs, &mut keys, &mut slots));
+        let take = || {
+            let mut rest = rest.lock().unwrap_or_else(PoisonError::into_inner);
+            let (at, specs, keys, slots) = std::mem::take(&mut *rest);
+            let n = specs.len().div_ceil(threads);
+            let ((run, specs), (run_keys, keys)) = (specs.split_at(n), keys.split_at_mut(n));
+            let (run_slots, slots) = slots.split_at_mut(n);
+            *rest = (at + n, specs, keys, slots);
+            (n > 0).then_some((at, run, run_keys, run_slots))
+        };
+        let probe = || {
+            let mut prober = Prober::default();
+            while let Some(run) = take() {
+                prober.settle(run, journaled, log, faults);
+            }
+            (prober.tally, prober.deferred)
+        };
+        // Helpers hand their counts back through `finished`, not their
+        // join handles, so the scope ends when their work does rather
+        // than when their threads have exited.
+        let finished = Mutex::new(Vec::new());
+        let (mut tally, mut deferred) = std::thread::scope(|s| {
+            for _ in 1..threads {
+                s.spawn(|| {
+                    let done = probe();
+                    let mut finished = finished.lock().unwrap_or_else(PoisonError::into_inner);
+                    finished.push(done);
+                });
+            }
+            probe()
+        });
+        let helpers = finished
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        for (theirs, more) in helpers {
+            tally.merge(&theirs);
+            deferred.extend(more);
+        }
+        deferred.sort_unstable_by_key(|&(i, _)| i);
+        Settled {
+            keys,
+            slots,
+            deferred,
+            tally,
+        }
+    }
+
     /// Runs every spec, returning outcomes in spec order.
     ///
     /// `batch` names the journal, so interrupting this call and
@@ -318,58 +504,47 @@ impl Engine {
         } else {
             Default::default()
         };
-        let mut slots: Vec<Option<Result<JobResult, JobFailure>>> = Vec::with_capacity(specs.len());
+        let Settled {
+            keys,
+            mut slots,
+            deferred,
+            mut tally,
+        } = match &cache {
+            Some(c) => c.with_log(|log, _| self.settle(specs, &journaled, Some(log), &faults)),
+            None => self.settle(specs, &journaled, None, &faults),
+        };
         // The calling thread's tally: the cells, where reused ones came
         // from, their data-level aggregates, and the failures.
-        let mut tally = Tally {
-            total: specs.len() as u64,
-            ..Tally::default()
-        };
-        // Each cell's key, derived once from its canonical string, which
-        // the journal lookup, the probe and a backfill share. The string
-        // is written into one buffer that every cell reuses. A cell left
-        // to simulate writes its string again when it is stored: holding
-        // every pending cell's string for the whole batch would cost
-        // more memory than the formatting costs time.
-        let mut keys: Vec<ContentKey> = Vec::with_capacity(specs.len());
+        tally.total = specs.len() as u64;
+        // What writes runs here, in cell order, as a serial pass would
+        // have run it.
         let mut canonical = String::new();
-        for spec in specs {
-            canonical.clear();
-            spec.write_canonical(&mut canonical);
-            let key = ContentKey::of(&canonical);
-            let hit = journaled.get(&key).copied().inspect(|r| {
-                tally.journal_hits += 1;
-                // Backfill the cache so the next batch doesn't depend
-                // on the journal surviving, unless it already holds the
-                // cell: every `--resume` would append a duplicate.
-                if let Some(cache) = cache.as_ref().filter(|c| !c.contains(key)) {
-                    let _ = cache.store_keyed(key, &canonical, r, &faults);
-                }
-            });
-            let hit = hit.or_else(|| match &cache {
-                Some(c) => match c.probe_keyed(key, &canonical, &faults) {
-                    CacheProbe::Hit(r) => {
-                        tally.cache_hits += 1;
-                        obs::debug!("engine: cache_hit key={key}");
-                        Some(r)
+        for (i, deferred) in deferred {
+            let (key, cache) = (keys[i], cache.as_deref());
+            match deferred {
+                // Backfill the cache so the next batch doesn't depend on
+                // the journal surviving, unless it already holds the cell:
+                // every `--resume` would append a duplicate.
+                Deferred::Backfill => {
+                    if let (Some(cache), Some(Ok(r))) =
+                        (cache.filter(|c| !c.contains(key)), &slots[i])
+                    {
+                        canonical.clear();
+                        specs[i].write_canonical(&mut canonical);
+                        let _ = cache.store_keyed(key, &canonical, r, &faults);
                     }
-                    CacheProbe::Quarantined => {
+                }
+                Deferred::Quarantine(bytes) => {
+                    // A record an earlier cell of its key quarantined is
+                    // a plain miss.
+                    if cache.is_some_and(|c| c.quarantine(key, &bytes)) {
                         tally.quarantined += 1;
                         obs::warn!("engine: cache_quarantine key={key} action=recompute");
-                        None
-                    }
-                    CacheProbe::Miss => {
+                    } else {
                         obs::debug!("engine: cache_miss key={key}");
-                        None
                     }
-                },
-                None => None,
-            });
-            if let Some(r) = &hit {
-                tally.record(spec, r);
+                }
             }
-            keys.push(key);
-            slots.push(hit.map(Ok));
         }
 
         // Publish what was settled up front before any worker runs, so

@@ -6,7 +6,14 @@
 //! `(plan seed, fault site, job content key, occurrence number)` — no
 //! wall clock, no thread-local RNG — so a failing chaos run replays
 //! exactly from its plan string, independent of worker count or
-//! scheduling order.
+//! scheduling order. The occurrence number is the one input an order
+//! could move, and none does: a batch under an active plan probes its
+//! cache on one thread, in cell order, however many workers it has (a
+//! key probed twice on two threads would take its occurrences in
+//! completion order); its backfills and quarantines run on the calling
+//! thread in cell order; a job's panics are numbered by its attempts;
+//! and the writes of two cells with one key are the same events
+//! whichever finishes first.
 //!
 //! Injection sites, one per hardened failure path:
 //!

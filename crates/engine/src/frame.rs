@@ -18,14 +18,16 @@
 //! one (last record wins). The index holds offsets, never record bytes,
 //! and skips a line whose key does not parse; the key is parsed where it
 //! lies, and the map does not hash it again ([`KeyMap`]). A record is
-//! read back into a buffer the log reuses and checked by the log's user.
-//! While reads move forward through the file they are copied out of one
-//! read-ahead window of at most 16 KiB, which reuses the scan's buffer
-//! and is refilled from the offset of any forward read it does not hold;
-//! a read backwards is one positioned read (`pread`). The file only
-//! grows, so the window always holds the file's bytes. A 64 KiB window
-//! read no faster over the paper's grid and held about 0.08 MB more at a
-//! warm batch's peak.
+//! read back through a [`Reader`], into a buffer the reader reuses, and
+//! checked by the log's user. While one reader's reads move forward
+//! through the file they are copied out of its read-ahead window of at
+//! most 16 KiB, which is refilled from the offset of any forward read it
+//! does not hold; a read backwards is one positioned read (`pread`). The
+//! file only grows, so a window always holds the file's bytes. A 64 KiB
+//! window read no faster over the paper's grid and held about 0.08 MB
+//! more at a warm batch's peak. A read takes the log by shared
+//! reference (`pread` needs no file position), so threads that each own
+//! a reader read one log, its file and its index at once.
 //!
 //! A log can be held open while other writers append to its file: a
 //! catch-up ([`Log::catch_up`]) costs one `stat` when nothing changed
@@ -178,18 +180,10 @@ pub(crate) struct Log {
     /// The end of the file's last whole line at that time: a catch-up
     /// scans from here.
     scanned: u64,
-    /// The file's bytes from offset `window_at` on, read ahead.
-    window: Vec<u8>,
-    window_at: u64,
-    /// The last record read, lent to the reader.
-    record: Vec<u8>,
-    /// Reads served by a `pread` rather than the window.
-    #[cfg(test)]
-    preads: u64,
 }
 
 impl Log {
-    /// A log of `path` with no file, an empty index and no window.
+    /// A log of `path` with no file and an empty index.
     fn new(path: PathBuf, indexed: bool) -> Log {
         Log {
             path,
@@ -200,11 +194,6 @@ impl Log {
             torn: false,
             len: Some(0),
             scanned: 0,
-            window: Vec::new(),
-            window_at: 0,
-            record: Vec::new(),
-            #[cfg(test)]
-            preads: 0,
         }
     }
 
@@ -247,11 +236,10 @@ impl Log {
     /// (a writer that did not end the torn line may have changed its
     /// key) is opened and indexed afresh, as is one the log appended to
     /// after another writer. A key a user dropped stays dropped unless
-    /// the scanned bytes file it again. The window is emptied, so that
-    /// the reads after a catch-up move forward from the first one.
+    /// the scanned bytes file it again. A reader's window may hold bytes
+    /// of the file the log held before, so a reader that read it before
+    /// is [cleared](Reader::clear) before it reads it again.
     pub(crate) fn catch_up(&mut self) {
-        self.window.clear();
-        self.window_at = 0;
         let same = |m: &fs::Metadata| (m.dev(), m.ino()) == self.id;
         match (fs::metadata(&self.path), &self.file, self.len) {
             (Err(_), None, _) => {}
@@ -263,17 +251,15 @@ impl Log {
         }
     }
 
-    /// Indexes the file's lines from `scanned` on, read through the
-    /// window's buffer without copying a line out: each key is parsed
-    /// where it lies, and only the unfinished line at a buffer's end
-    /// moves to its front. A line longer than the buffer grows it. A
-    /// last line without a newline is filed too and leaves the log torn,
-    /// and a read error ends the scan as if the file ended there. The
-    /// window holds nothing afterwards.
+    /// Indexes the file's lines from `scanned` on, read through a
+    /// buffer without copying a line out: each key is parsed where it
+    /// lies, and only the unfinished line at a buffer's end moves to its
+    /// front. A line longer than the buffer grows it. A last line
+    /// without a newline is filed too and leaves the log torn, and a
+    /// read error ends the scan as if the file ended there.
     fn scan(&mut self) {
         let Some(file) = self.file.take() else { return };
-        let mut buf = std::mem::take(&mut self.window);
-        buf.resize(WINDOW, 0);
+        let mut buf = vec![0; WINDOW];
         let (mut filled, mut buf_at) = (0, self.scanned);
         while let n @ 1.. = fill_at(&file, &mut buf[filled..], buf_at + filled as u64) {
             filled += n;
@@ -292,8 +278,6 @@ impl Log {
             self.file_line(&buf[..filled], buf_at);
         }
         (self.scanned, self.len, self.torn) = (buf_at, Some(buf_at + filled as u64), filled > 0);
-        buf.clear();
-        self.window = buf;
         self.file = Some(file);
     }
 
@@ -307,42 +291,6 @@ impl Log {
     /// The log's file.
     pub(crate) fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The record at `at` of `len` bytes, in a buffer the log lends
-    /// until the next read; the bytes are those one `pread` would return.
-    /// A read that starts at or after the window's start, is not in the
-    /// window and fits in one first refills the window from `at`; a read
-    /// the window then holds is copied out of it, and any other (a read
-    /// backwards, or a record longer than the window) is one `pread`.
-    pub(crate) fn read(&mut self, (at, len): (u64, usize)) -> io::Result<&mut Vec<u8>> {
-        let file = self.file.as_ref().ok_or(io::ErrorKind::NotFound)?;
-        let end = at + len as u64;
-        if !self.in_window(at, end) && at >= self.window_at && len <= WINDOW {
-            self.window.resize(WINDOW, 0);
-            let filled = fill_at(file, &mut self.window, at);
-            self.window.truncate(filled);
-            self.window_at = at;
-        }
-        self.record.clear();
-        if self.in_window(at, end) {
-            let from = (at - self.window_at) as usize;
-            self.record
-                .extend_from_slice(&self.window[from..from + len]);
-        } else {
-            #[cfg(test)]
-            {
-                self.preads += 1;
-            }
-            self.record.resize(len, 0);
-            file.read_exact_at(&mut self.record, at)?;
-        }
-        Ok(&mut self.record)
-    }
-
-    /// Whether the window holds the bytes from `at` to `end`.
-    fn in_window(&self, at: u64, end: u64) -> bool {
-        self.window_at <= at && end <= self.window_at + self.window.len() as u64
     }
 
     /// Appends `key`'s framed `record` as one line with one `write_all`,
@@ -411,6 +359,68 @@ impl Log {
             }
         }
         Ok(())
+    }
+}
+
+/// One thread's reads of a [`Log`]: a read-ahead window over the file
+/// and the buffer each record is lent in. The window holds bytes of the
+/// file the reader last read; after a catch-up of that log it must be
+/// [cleared](Reader::clear), since the log may hold another file.
+#[derive(Debug, Default)]
+pub(crate) struct Reader {
+    /// The file's bytes from offset `window_at` on, read ahead.
+    window: Vec<u8>,
+    window_at: u64,
+    /// The last record read, lent to the caller.
+    record: Vec<u8>,
+    /// Reads served by a `pread` rather than the window.
+    #[cfg(test)]
+    preads: u64,
+}
+
+impl Reader {
+    /// The record of `log` at `at` of `len` bytes, in a buffer the
+    /// reader lends until its next read; the bytes are those one `pread`
+    /// would return. A read that starts at or after the window's start,
+    /// is not in the window and fits in one first refills the window from
+    /// `at`; a read the window then holds is copied out of it, and any
+    /// other (a read backwards, or a record longer than the window) is
+    /// one `pread`.
+    pub(crate) fn read(&mut self, log: &Log, (at, len): (u64, usize)) -> io::Result<&mut Vec<u8>> {
+        let file = log.file.as_ref().ok_or(io::ErrorKind::NotFound)?;
+        let end = at + len as u64;
+        if !self.in_window(at, end) && at >= self.window_at && len <= WINDOW {
+            self.window.resize(WINDOW, 0);
+            let filled = fill_at(file, &mut self.window, at);
+            self.window.truncate(filled);
+            self.window_at = at;
+        }
+        self.record.clear();
+        if self.in_window(at, end) {
+            let from = (at - self.window_at) as usize;
+            self.record
+                .extend_from_slice(&self.window[from..from + len]);
+        } else {
+            #[cfg(test)]
+            {
+                self.preads += 1;
+            }
+            self.record.resize(len, 0);
+            file.read_exact_at(&mut self.record, at)?;
+        }
+        Ok(&mut self.record)
+    }
+
+    /// Whether the window holds the bytes from `at` to `end`.
+    fn in_window(&self, at: u64, end: u64) -> bool {
+        self.window_at <= at && end <= self.window_at + self.window.len() as u64
+    }
+
+    /// Empties the window, keeping its buffer, so that the next read
+    /// fills it afresh and reads move forward from there.
+    pub(crate) fn clear(&mut self) {
+        self.window.clear();
+        self.window_at = 0;
     }
 }
 
@@ -516,7 +526,7 @@ mod tests {
         ) {
             let path = temp_log();
             write_log(&path, &lines, torn);
-            let mut log = Log::open(path.clone());
+            let (mut log, mut reader) = (Log::open(path.clone()), Reader::default());
             // The scan files what splitting the whole file would.
             let bytes = fs::read(&path).unwrap_or_default();
             let mut want = HashMap::new();
@@ -552,7 +562,7 @@ mod tests {
                             reads.push((at, (mix(op ^ i ^ 7) % 3_000) as usize));
                         }
                         for (at, len) in reads {
-                            let got = log.read((at, len)).ok().cloned();
+                            let got = reader.read(&log, (at, len)).ok().cloned();
                             prop_assert!(
                                 got == fresh_pread(&path, at, len),
                                 "read of {} bytes at {} differs from a pread",
@@ -636,9 +646,9 @@ mod tests {
                         let part = |len: usize| Some(1 + mix(op) as usize % (len - 1));
                         Log::open_append(path.clone()).append(other, torn, part).expect("torn append");
                         held.append(key, line.clone(), |_| None).expect("append");
-                        let mut fresh = Log::open(path.clone());
+                        let fresh = Log::open(path.clone());
                         let at = fresh.index.get(&key).copied();
-                        let got = at.and_then(|at| fresh.read(at).ok().cloned());
+                        let got = at.and_then(|at| Reader::default().read(&fresh, at).ok().cloned());
                         prop_assert!(
                             got.as_deref() == Some(line.as_bytes()),
                             "the record after a tear is lost"
@@ -657,8 +667,9 @@ mod tests {
             // that costs a spare newline, while a missed tear would cost
             // the next record.
             prop_assert!(held.torn || !Log::open(path.clone()).torn, "missed a torn tail");
+            let mut reader = Reader::default();
             for (_, at) in index {
-                let got = held.read(at).ok().cloned();
+                let got = reader.read(&held, at).ok().cloned();
                 prop_assert!(got == fresh_pread(&path, at.0, at.1), "read at {} differs", at.0);
             }
             let _ = fs::remove_dir_all(path.parent().expect("in a directory"));
@@ -675,17 +686,45 @@ mod tests {
                 .append(key, frame(key, &"x".repeat(6_000)), |_| None)
                 .expect("append");
         }
-        let mut log = Log::open(path.clone());
+        let (log, mut reader) = (Log::open(path.clone()), Reader::default());
         let at = |i| log.index[&ContentKey(i)];
         let (first, second, third) = (at(0), at(1), at(2));
         for (at, preads) in [(first, 0), (third, 0), (second, 1)] {
             // The third record straddles the end of the window the first
             // read filled, and skipping the second does not make it a
             // `pread`; the second is then behind the window.
-            let got = log.read(at).expect("read").clone();
+            let got = reader.read(&log, at).expect("read").clone();
             assert_eq!(Some(got), fresh_pread(&path, at.0, at.1));
-            assert_eq!(log.preads, preads, "reads up to offset {}", at.0);
+            assert_eq!(reader.preads, preads, "reads up to offset {}", at.0);
         }
+        let _ = fs::remove_dir_all(path.parent().expect("in a directory"));
+    }
+
+    #[test]
+    fn threads_with_their_own_readers_read_one_log_at_once() {
+        let path = temp_log();
+        write_log(&path, &(0..60).collect::<Vec<u64>>(), true);
+        let log = Log::open(path.clone());
+        let mut reads: Vec<(u64, usize)> = log.index.values().copied().collect();
+        reads.sort_unstable();
+        std::thread::scope(|s| {
+            for order in 0..3u64 {
+                let (log, path, mut reads) = (&log, &path, reads.clone());
+                s.spawn(move || {
+                    // Forwards, backwards and shuffled.
+                    match order {
+                        0 => {}
+                        1 => reads.reverse(),
+                        _ => reads.sort_by_key(|&(at, _)| mix(at)),
+                    }
+                    let mut reader = Reader::default();
+                    for at in reads {
+                        let got = reader.read(log, at).expect("read").clone();
+                        assert_eq!(Some(got), fresh_pread(path, at.0, at.1));
+                    }
+                });
+            }
+        });
         let _ = fs::remove_dir_all(path.parent().expect("in a directory"));
     }
 

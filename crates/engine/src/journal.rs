@@ -29,7 +29,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::fault::FaultInjector;
-use crate::frame::{self, Log};
+use crate::frame::{self, Log, Reader};
 use crate::job::JobResult;
 use crate::key::ContentKey;
 
@@ -72,11 +72,13 @@ impl Journal {
     /// a torn tail from a killed run, a torn append, any CRC mismatch —
     /// is skipped; everything served was fully written.
     pub fn replay(state_dir: &Path, batch: &str) -> HashMap<ContentKey, JobResult> {
-        let mut log = Log::open(Self::path_for(state_dir, batch));
-        std::mem::take(&mut log.index)
-            .into_iter()
-            .filter_map(|(key, at)| {
-                let bytes = log.read(at).ok()?;
+        let (log, mut reader) = (
+            Log::open(Self::path_for(state_dir, batch)),
+            Reader::default(),
+        );
+        (log.index.iter())
+            .filter_map(|(&key, &at)| {
+                let bytes = reader.read(&log, at).ok()?;
                 Some((key, JobResult::decode(frame::unframe(bytes)?.1)?))
             })
             .collect()

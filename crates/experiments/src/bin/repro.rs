@@ -6,17 +6,22 @@
 //!       [--fault-plan SPEC] [--metrics-addr HOST:PORT]
 //!       [--baseline FILE] [--bench-tolerance PCT] [--bench-iters N]
 //!       [--devices N] [--device-secs N] [--fidelity full|summary]
-//!       [all | fig3 fig4 fig5 fig6 fig7 fig8 fig9
-//!        table1 table2 table3 battery sa2 cost
-//!        sweep sweep-full deadline ablation govil elastic
-//!        tracedriven timescale summary oracle memprobe modern spectrum
-//!        optgap trace bench fleet]
+//!       [EXPERIMENT...]
+//!
+//! EXPERIMENT: all | fig3 fig4 fig5 fig6 fig7 fig8 fig9
+//!             table1 table2 table3 battery sa2 cost
+//!             sweep sweep-full deadline ablation govil elastic
+//!             tracedriven timescale summary oracle memprobe modern
+//!             spectrum optgap trace bench fleet
 //! ```
 //!
-//! Results are printed (tables + ASCII charts) and saved as CSV under
-//! `results/` (override with `REPRO_RESULTS_DIR`). An argument that is
-//! neither a flag above nor an experiment exits 2, naming it, before
-//! anything runs or is written.
+//! Experiments run in the order they are first named, each once; `all`
+//! stands for every experiment but `sweep-full`, `trace`, `bench` and
+//! `fleet`, so `all fleet` runs those 26 and then `fleet`, and no name
+//! at all runs `all`. Results are printed (tables + ASCII charts) and
+//! saved as CSV under `results/` (override with `REPRO_RESULTS_DIR`). An
+//! argument that is neither a flag above nor an experiment exits 2,
+//! naming it, before anything runs or is written.
 //!
 //! Observability:
 //!
@@ -177,6 +182,26 @@ const ALL: [&str; 26] = [
 /// Experiments that run only when named.
 const NAMED_ONLY: [&str; 4] = ["sweep-full", "trace", "bench", "fleet"];
 
+/// The experiments `names` ask for, in the order first named, each
+/// once, with `all` standing for those of [`ALL`]; no name at all asks
+/// for `all`.
+fn experiments(names: &[String]) -> Vec<&str> {
+    let names: Vec<&str> = match names {
+        [] => vec!["all"],
+        names => names.iter().map(String::as_str).collect(),
+    };
+    let mut want = Vec::new();
+    for name in names {
+        let expanded = if name == "all" { &ALL[..] } else { &[name][..] };
+        for &id in expanded {
+            if !want.contains(&id) {
+                want.push(id);
+            }
+        }
+    }
+    want
+}
+
 fn print_stats(stats: &BatchStats) {
     let mut line = format!(
         "    engine: {} cells, {} simulated on {} worker(s), {} cache hit(s), {} journal hit(s)",
@@ -275,13 +300,7 @@ fn main() {
     let mut gate_failed = false;
     #[allow(non_snake_case)]
     let SEED = seed;
-    let want: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        ALL.to_vec()
-    } else {
-        args.iter().map(|s| s.as_str()).collect()
-    };
-
-    for id in want {
+    for id in experiments(&args) {
         let t0 = Instant::now();
         println!("==> {id}");
         match id {
@@ -602,5 +621,39 @@ fn main() {
     if gate_failed {
         eprintln!("bench gate failed; see REGRESSION lines above");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn expand(names: &str) -> Vec<String> {
+        let names: Vec<String> = names.split_whitespace().map(String::from).collect();
+        experiments(&names).into_iter().map(String::from).collect()
+    }
+
+    #[test]
+    fn all_then_a_named_experiment_runs_both() {
+        let want = expand("all fleet");
+        assert_eq!(want.len(), 27);
+        assert_eq!(want[..26], ALL[..]);
+        assert_eq!(want[26], "fleet");
+    }
+
+    #[test]
+    fn an_experiment_named_before_all_runs_first_and_once() {
+        let want = expand("sweep all");
+        let rest: Vec<&str> = ALL.iter().copied().filter(|&id| id != "sweep").collect();
+        assert_eq!(want.len(), 26);
+        assert_eq!(want[0], "sweep");
+        assert_eq!(want[1..], rest[..]);
+    }
+
+    #[test]
+    fn a_repeated_name_runs_once() {
+        assert_eq!(expand("all all"), ALL);
+        assert_eq!(expand("fig3 fig3"), ["fig3"]);
+        assert_eq!(expand(""), ALL);
     }
 }
