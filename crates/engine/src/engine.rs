@@ -10,13 +10,14 @@
 //!    the index up with the file at each batch's start,
 //! 3. the worker pool, which simulates whatever is left.
 //!
-//! The first two are looked up in one up-front pass, spread over as
-//! many threads as the batch has workers; each thread reads the log
-//! through its own reader and writes its cells' keys and reused results
-//! into their slots. Whatever writes a file or depends on the order of
-//! cells (quarantines, journal backfills) runs on the calling thread
-//! after the pass, in cell order, so a batch's outcome, counts, fault
-//! draws and files do not depend on how many threads probed.
+//! The first two are looked up in one up-front pass, spread over one
+//! thread per [`CELLS_PER_PROBE_THREAD`] cells, up to as many as the
+//! batch has workers; each thread reads the log through its own reader
+//! and writes its cells' keys and reused results into their slots.
+//! Whatever writes a file or depends on the order of cells
+//! (quarantines, journal backfills) runs on the calling thread after
+//! the pass, in cell order, so a batch's outcome, counts, fault draws
+//! and files do not depend on how many threads probed.
 //!
 //! Results land in a slot vector indexed by submission order, so output
 //! is a pure function of the specs — never of worker count or of which
@@ -60,6 +61,27 @@ use crate::journal::Journal;
 use crate::key::ContentKey;
 use crate::live;
 use crate::pool::{Tally, PROGRESS_INTERVAL};
+
+/// The most cells the up-front pass gives one probing thread before it
+/// starts another. A helper costs the calling thread about 45 µs to
+/// start and join, and a warm hit about 1.8 µs of CPU, so a helper
+/// repays its start from about 25 cells. One thread per 50 cells,
+/// rounded up, gives every helper more than 25: a batch of at most 50
+/// cells probes on the calling thread alone, and one of `50 (t − 1) + 1`
+/// or more on `t` threads, each taking over `50 (t − 1) / t` cells.
+const CELLS_PER_PROBE_THREAD: usize = 50;
+
+/// The threads the up-front pass runs on for `cells` cells at `workers`
+/// workers: one per [`CELLS_PER_PROBE_THREAD`] cells, rounded up, and
+/// at most `workers`. A batch under an active fault plan probes on one,
+/// so that a key that repeats draws its faults in cell order.
+fn probe_threads(cells: usize, workers: usize, faults: &FaultInjector) -> usize {
+    if faults.is_active() {
+        1
+    } else {
+        cells.div_ceil(CELLS_PER_PROBE_THREAD).min(workers).max(1)
+    }
+}
 
 /// How a batch should be executed.
 #[derive(Debug, Clone)]
@@ -411,15 +433,14 @@ impl Engine {
     /// The up-front pass over a batch's cells: each cell's canonical
     /// string and key, its journal lookup and, given the cache's `log`,
     /// its cache probe up to validation, with the reused results
-    /// counted. It runs on `min(worker_count, cells)` threads, the
-    /// calling thread and scoped helpers, each with its own canonical
-    /// buffer, reader and tally; a batch under an active fault plan
-    /// runs it on one, so that a key that repeats draws its faults in
-    /// cell order. A thread takes the next contiguous run of cells, a
-    /// `1/threads` share of those not yet taken, until none are left, so
-    /// a helper that starts late takes less. Nothing here writes a file
-    /// or depends on which thread took which cell: the caller
-    /// quarantines, backfills and publishes afterwards, in cell order.
+    /// counted. It runs on [`probe_threads`] threads, the calling
+    /// thread and scoped helpers, each with its own canonical buffer,
+    /// reader and tally. A thread takes the next contiguous run of
+    /// cells, a `1/threads` share of those not yet taken, until none are
+    /// left, so a helper that starts late takes less. Nothing here
+    /// writes a file or depends on which thread took which cell: the
+    /// caller quarantines, backfills and publishes afterwards, in cell
+    /// order.
     fn settle(
         &self,
         specs: &[JobSpec],
@@ -427,11 +448,7 @@ impl Engine {
         log: Option<&Log>,
         faults: &FaultInjector,
     ) -> Settled {
-        let threads = if faults.is_active() {
-            1
-        } else {
-            self.worker_count().min(specs.len()).max(1)
-        };
+        let threads = probe_threads(specs.len(), self.worker_count(), faults);
         let mut keys = vec![ContentKey(0); specs.len()];
         let mut slots = Vec::with_capacity(specs.len());
         slots.resize_with(specs.len(), || None);
@@ -741,6 +758,34 @@ mod tests {
             }
         }
         specs
+    }
+
+    #[test]
+    fn a_batch_probes_on_one_thread_per_fifty_cells_up_to_its_workers() {
+        let inert = FaultInjector::inert();
+        for (cells, workers, threads) in [
+            (0, 8, 1),
+            (1, 8, 1),
+            (2, 8, 1),
+            (49, 8, 1),
+            (50, 8, 1),
+            (51, 8, 2),
+            (258, 8, 6),
+            (400, 8, 8),
+            (401, 8, 8),
+            (796, 2, 2),
+            (796, 1, 1),
+        ] {
+            assert_eq!(
+                probe_threads(cells, workers, &inert),
+                threads,
+                "{cells} cells at {workers} workers"
+            );
+        }
+        let chaos = FaultInjector::new(Some(FaultPlan::chaos(42)));
+        for cells in [2, 51, 796] {
+            assert_eq!(probe_threads(cells, 8, &chaos), 1, "{cells} cells");
+        }
     }
 
     #[test]

@@ -45,10 +45,11 @@ fn copy_tree(from: &Path, to: &Path) {
 }
 
 /// 256 distinct one-second cells, then two that repeat earlier cells'
-/// specs: cell 256 repeats cell 3 and cell 257 repeats cell 10. A batch
-/// this long keeps its first thread busy while the others start, so the
-/// repeats are likely probed on another thread than the cells they
-/// repeat.
+/// specs: cell 256 repeats cell 3 and cell 257 repeats cell 10. At
+/// `jobs` 8 a batch this long probes on 6 threads (one per 50 cells,
+/// rounded up) and keeps its first thread busy while the others start,
+/// so the repeats are likely probed on another thread than the cells
+/// they repeat.
 fn specs() -> Vec<JobSpec> {
     let mut specs = Vec::new();
     for bench in [
@@ -163,14 +164,15 @@ fn damage(root: &Path, flipped: &[ContentKey], cut: ContentKey, garbage: Content
 }
 
 /// A state root whose cache holds every cell of `specs` and then the
-/// damage of [`damage`]: cell 3 (which cell 256 repeats), 40 and 50
-/// flipped, 20 cut short and 30 filed under garbage.
-fn damaged_root(tag: &str, specs: &[JobSpec]) -> PathBuf {
+/// damage of [`damage`]: the `flipped` cells flipped, cell 20 cut short
+/// and cell 30 filed under garbage.
+fn damaged_root(tag: &str, specs: &[JobSpec], flipped: &[usize]) -> PathBuf {
     let base = temp_root(tag);
     let cold = engine(&base, 2, false, None).run_batch(BATCH, specs);
     assert_eq!(cold.stats.executed, specs.len());
     let key = |i: usize| specs[i].key();
-    damage(&base, &[key(3), key(40), key(50)], key(20), key(30));
+    let flipped: Vec<_> = flipped.iter().map(|&i| key(i)).collect();
+    damage(&base, &flipped, key(20), key(30));
     base
 }
 
@@ -190,36 +192,65 @@ fn run_on_copy(
     (outcome, root)
 }
 
-#[test]
-fn a_damaged_warm_batch_reads_the_same_at_any_worker_count() {
-    let specs = specs();
-    let reference = Engine::new(EngineConfig::hermetic()).run_batch(BATCH, &specs);
-    let base = damaged_root("damaged", &specs);
-    let runs: Vec<_> = [1, 2, 8]
-        .into_iter()
-        .map(|jobs| {
-            let (out, root) = run_on_copy(&base, jobs, false, None, &specs);
-            // Five damaged keys are quarantined, each once: cell 256's
-            // key left the index with cell 3's record, so cell 256 is a
-            // plain miss. The five and cell 256 are simulated; cell 257
-            // is a hit.
-            assert_eq!(out.stats.quarantined, 5, "jobs {jobs}");
-            assert_eq!(out.stats.executed, 6, "jobs {jobs}");
-            assert_eq!(out.stats.cache_hits, specs.len() - 6, "jobs {jobs}");
-            assert_eq!(out.stats.journal_hits, 0, "jobs {jobs}");
+/// Serves `specs` at each of `jobs` from copies of one [`damaged_root`]
+/// with the `flipped` cells flipped, and checks that every run reads the
+/// `expected` [`counts`], returns the fault-free results and leaves the
+/// same `quarantine/` files and log lines.
+fn a_damaged_batch_reads_the_same(
+    tag: &str,
+    specs: &[JobSpec],
+    flipped: &[usize],
+    jobs: &[usize],
+    expected: [usize; 6],
+) {
+    let reference = Engine::new(EngineConfig::hermetic()).run_batch(BATCH, specs);
+    let base = damaged_root(tag, specs, flipped);
+    let runs: Vec<_> = jobs
+        .iter()
+        .map(|&jobs| {
+            let (out, root) = run_on_copy(&base, jobs, false, None, specs);
+            assert_eq!(counts(&out.stats), expected, "jobs {jobs}");
             assert_eq!(out.stats.workers, workers(jobs, &out.stats));
             assert_eq!(out.results, reference.results, "jobs {jobs}");
             let quarantined = quarantine(&root);
-            assert_eq!(quarantined.len(), 5, "jobs {jobs}");
+            assert_eq!(quarantined.len(), out.stats.quarantined, "jobs {jobs}");
             let lines: BTreeSet<Vec<u8>> = log_lines(&root).into_iter().collect();
             let _ = fs::remove_dir_all(&root);
-            (counts(&out.stats), quarantined, lines)
+            (quarantined, lines)
         })
         .collect();
     for run in &runs[1..] {
         assert!(run == &runs[0], "a worker count changed the outcome");
     }
     let _ = fs::remove_dir_all(&base);
+}
+
+#[test]
+fn a_damaged_warm_batch_reads_the_same_at_any_worker_count() {
+    // Cells 3 (which cell 256 repeats), 40 and 50 are flipped. Five
+    // damaged keys are quarantined, each once: cell 256's key left the
+    // index with cell 3's record, so cell 256 is a plain miss. The five
+    // and cell 256 are simulated; cell 257 is a hit.
+    a_damaged_batch_reads_the_same(
+        "damaged",
+        &specs(),
+        &[3, 40, 50],
+        &[1, 2, 8],
+        [258, 252, 0, 6, 0, 5],
+    );
+}
+
+#[test]
+fn a_small_damaged_warm_batch_reads_the_same_at_any_worker_count() {
+    // 45 distinct cells, then repeats of cells 3 and 10: 47 cells, few
+    // enough to probe on the calling thread alone at any `jobs`.
+    let mut specs = specs()[..45].to_vec();
+    specs.push(specs[3].clone());
+    specs.push(specs[10].clone());
+    // Cells 3 (which cell 45 repeats) and 40 are flipped. Four damaged
+    // keys are quarantined, each once; they and cell 45, a plain miss,
+    // are simulated, and cell 46 is a hit.
+    a_damaged_batch_reads_the_same("small", &specs, &[3, 40], &[1, 8], [47, 42, 0, 5, 0, 4]);
 }
 
 #[test]
@@ -270,7 +301,7 @@ fn a_resumed_batch_backfills_the_same_records_at_any_worker_count() {
 fn a_damaged_warm_batch_draws_the_same_faults_at_any_worker_count() {
     let specs = specs();
     let reference = Engine::new(EngineConfig::hermetic()).run_batch(BATCH, &specs);
-    let base = damaged_root("chaos", &specs);
+    let base = damaged_root("chaos", &specs, &[3, 40, 50]);
     let plan = Some(FaultPlan::chaos(42));
     let (one, one_root) = run_on_copy(&base, 1, false, plan, &specs);
     let (many, many_root) = run_on_copy(&base, 8, false, plan, &specs);

@@ -98,6 +98,7 @@ impl Work {
 
     /// Wall-clock time this work takes at step `step` running at `f`,
     /// rounded up to the next microsecond.
+    #[inline]
     pub fn time_at(&self, step: StepIndex, f: Frequency, mem: &MemoryTiming) -> SimDuration {
         let cycles = self.total_cycles(step, mem);
         if cycles <= 0.0 {
@@ -131,6 +132,7 @@ impl Work {
     /// consumes the same fraction of every component. Returns either the
     /// (exact, rounded-up-to-µs) completion time or the unconsumed
     /// remainder.
+    #[inline]
     pub fn execute_for(
         &self,
         budget: SimDuration,

@@ -53,6 +53,7 @@ impl SimTime {
     /// Panics if `earlier` is later than `self`; elapsed time in a
     /// discrete-event simulation never runs backwards, so this indicates
     /// a logic error at the call site.
+    #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
