@@ -63,13 +63,13 @@ use crate::live;
 use crate::pool::{Tally, PROGRESS_INTERVAL};
 
 /// The most cells the up-front pass gives one probing thread before it
-/// starts another. A helper costs the calling thread about 45 µs to
-/// start and join, and a warm hit about 1.8 µs of CPU, so a helper
-/// repays its start from about 25 cells. One thread per 50 cells,
-/// rounded up, gives every helper more than 25: a batch of at most 50
-/// cells probes on the calling thread alone, and one of `50 (t − 1) + 1`
-/// or more on `t` threads, each taking over `50 (t − 1) / t` cells.
-const CELLS_PER_PROBE_THREAD: usize = 50;
+/// starts another. Timed on a warm batch at two workers (DESIGN.md
+/// §10), one thread served a cell in about 1.9 µs; a second thread cut
+/// that to about 1.2 µs but added about 30 µs to start and join, and
+/// the two took the same time at 40 to 60 cells. So a batch of at most
+/// 40 cells probes on the calling thread alone, and one of more than
+/// `40 (t − 1)` cells on `t` threads.
+const CELLS_PER_PROBE_THREAD: usize = 40;
 
 /// The threads the up-front pass runs on for `cells` cells at `workers`
 /// workers: one per [`CELLS_PER_PROBE_THREAD`] cells, rounded up, and
@@ -761,18 +761,20 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_probes_on_one_thread_per_fifty_cells_up_to_its_workers() {
+    fn a_batch_probes_on_one_thread_per_forty_cells_up_to_its_workers() {
         let inert = FaultInjector::inert();
         for (cells, workers, threads) in [
             (0, 8, 1),
             (1, 8, 1),
             (2, 8, 1),
-            (49, 8, 1),
-            (50, 8, 1),
-            (51, 8, 2),
-            (258, 8, 6),
-            (400, 8, 8),
-            (401, 8, 8),
+            (39, 8, 1),
+            (40, 8, 1),
+            (41, 8, 2),
+            (50, 8, 2),
+            (258, 8, 7),
+            (280, 8, 7),
+            (281, 8, 8),
+            (796, 8, 8),
             (796, 2, 2),
             (796, 1, 1),
         ] {
@@ -783,7 +785,7 @@ mod tests {
             );
         }
         let chaos = FaultInjector::new(Some(FaultPlan::chaos(42)));
-        for cells in [2, 51, 796] {
+        for cells in [2, 41, 796] {
             assert_eq!(probe_threads(cells, 8, &chaos), 1, "{cells} cells");
         }
     }

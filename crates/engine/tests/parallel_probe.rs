@@ -46,7 +46,7 @@ fn copy_tree(from: &Path, to: &Path) {
 
 /// 256 distinct one-second cells, then two that repeat earlier cells'
 /// specs: cell 256 repeats cell 3 and cell 257 repeats cell 10. At
-/// `jobs` 8 a batch this long probes on 6 threads (one per 50 cells,
+/// `jobs` 8 a batch this long probes on 7 threads (one per 40 cells,
 /// rounded up) and keeps its first thread busy while the others start,
 /// so the repeats are likely probed on another thread than the cells
 /// they repeat.
@@ -242,15 +242,15 @@ fn a_damaged_warm_batch_reads_the_same_at_any_worker_count() {
 
 #[test]
 fn a_small_damaged_warm_batch_reads_the_same_at_any_worker_count() {
-    // 45 distinct cells, then repeats of cells 3 and 10: 47 cells, few
+    // 36 distinct cells, then repeats of cells 3 and 10: 38 cells, few
     // enough to probe on the calling thread alone at any `jobs`.
-    let mut specs = specs()[..45].to_vec();
+    let mut specs = specs()[..36].to_vec();
     specs.push(specs[3].clone());
     specs.push(specs[10].clone());
-    // Cells 3 (which cell 45 repeats) and 40 are flipped. Four damaged
-    // keys are quarantined, each once; they and cell 45, a plain miss,
-    // are simulated, and cell 46 is a hit.
-    a_damaged_batch_reads_the_same("small", &specs, &[3, 40], &[1, 8], [47, 42, 0, 5, 0, 4]);
+    // Cells 3 (which cell 36 repeats) and 35 are flipped. Four damaged
+    // keys are quarantined, each once; they and cell 36, a plain miss,
+    // are simulated, and cell 37 is a hit.
+    a_damaged_batch_reads_the_same("small", &specs, &[3, 35], &[1, 8], [38, 33, 0, 5, 0, 4]);
 }
 
 #[test]

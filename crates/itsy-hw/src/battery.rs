@@ -154,6 +154,7 @@ impl Battery {
     }
 
     /// True once the battery can no longer supply the load.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.charge_j <= 0.0
     }
@@ -165,6 +166,7 @@ impl Battery {
 
     /// Derating factor at smoothed draw `p_avg`: 1 at or below the
     /// reference draw, growing as `(p/p_ref)^(k-1)` above it.
+    #[inline]
     pub fn derating(&self, p_avg: f64) -> f64 {
         if p_avg <= self.params.ref_power_w || self.params.peukert_k <= 1.0 {
             1.0
@@ -175,6 +177,7 @@ impl Battery {
 
     /// Draws power `p` for duration `d`, updating the smoothed draw and
     /// consuming derated charge.
+    #[inline]
     pub fn drain(&mut self, p: Power, d: SimDuration) {
         let dt = d.as_secs_f64();
         if dt <= 0.0 {

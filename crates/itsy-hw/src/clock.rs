@@ -81,6 +81,7 @@ impl ClockTable {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[inline]
     pub fn freq(&self, idx: StepIndex) -> Frequency {
         Frequency::from_khz(self.steps_khz[idx])
     }

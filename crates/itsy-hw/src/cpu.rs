@@ -108,16 +108,19 @@ impl CpuCore {
     }
 
     /// Current clock step.
+    #[inline]
     pub fn step(&self) -> StepIndex {
         self.step
     }
 
     /// Current clock frequency.
+    #[inline]
     pub fn freq(&self) -> Frequency {
         self.table.freq(self.step)
     }
 
     /// Current core voltage.
+    #[inline]
     pub fn voltage(&self) -> Voltage {
         self.voltage
     }

@@ -94,11 +94,13 @@ impl MemoryTiming {
     }
 
     /// Core cycles to read one word at clock step `idx`.
+    #[inline]
     pub fn word_cycles(&self, idx: StepIndex) -> u32 {
         self.costs[idx].0
     }
 
     /// Core cycles to read one cache line at clock step `idx`.
+    #[inline]
     pub fn line_cycles(&self, idx: StepIndex) -> u32 {
         self.costs[idx].1
     }

@@ -81,6 +81,7 @@ impl Work {
 
     /// True if no demand remains (under a small epsilon to absorb f64
     /// splitting residue).
+    #[inline]
     pub fn is_zero(&self) -> bool {
         self.total_raw() < 1e-6
     }
@@ -90,6 +91,7 @@ impl Work {
     }
 
     /// Total core cycles this work occupies at clock step `step`.
+    #[inline]
     pub fn total_cycles(&self, step: StepIndex, mem: &MemoryTiming) -> f64 {
         self.cpu_cycles
             + self.mem_refs * mem.word_cycles(step) as f64
@@ -109,6 +111,7 @@ impl Work {
     }
 
     /// Scales every component by `q`.
+    #[inline]
     pub fn scaled(&self, q: f64) -> Work {
         Work {
             cpu_cycles: self.cpu_cycles * q,
@@ -118,6 +121,7 @@ impl Work {
     }
 
     /// Adds two quanta component-wise.
+    #[inline]
     pub fn plus(&self, other: Work) -> Work {
         Work {
             cpu_cycles: self.cpu_cycles + other.cpu_cycles,

@@ -36,7 +36,8 @@ impl Frequency {
         self.0 as u64 * 1_000
     }
 
-    /// The frequency in MHz, as a float (for reporting).
+    /// The frequency in MHz, as a float.
+    #[inline]
     pub fn as_mhz_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
@@ -110,6 +111,7 @@ impl Power {
     /// # Panics
     ///
     /// Panics if `w` is negative or not finite.
+    #[inline]
     pub fn from_watts(w: f64) -> Self {
         assert!(w.is_finite() && w >= 0.0, "invalid power: {w}");
         Power(w)
@@ -126,6 +128,7 @@ impl Power {
     }
 
     /// Energy dissipated by drawing this power for `d`.
+    #[inline]
     pub fn over(self, d: SimDuration) -> Energy {
         Energy(self.0 * d.as_secs_f64())
     }

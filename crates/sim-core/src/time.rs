@@ -113,7 +113,8 @@ impl SimDuration {
         self.0
     }
 
-    /// The span in seconds, as a float (for reporting only).
+    /// The span in seconds, as a float.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
